@@ -44,7 +44,7 @@ const EPS: f64 = 1e-9;
 /// are re-spread so that every group of the finest constrained partition occupies evenly
 /// distributed positions while the within-group order of the input consensus is preserved,
 /// and the greedy loop then polishes the result. The fallback trades a little extra PD loss
-/// for guaranteed convergence; see `DESIGN.md`.
+/// for guaranteed convergence; see the README's "Substitutions" section.
 pub fn make_mr_fair(
     consensus: &Ranking,
     groups: &GroupIndex,

@@ -19,7 +19,7 @@
 //!   single `u64` seed.
 //!
 //! The two case-study generators are *substitutions* for data files that are not available
-//! offline; see `DESIGN.md` for the substitution rationale.
+//! offline; see the README's "Substitutions" section for the rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -254,9 +254,7 @@ impl BatchHandle {
     /// counters.
     fn yield_item(&mut self, index: usize) -> BatchItem {
         let handle = &self.handles[index];
-        let response = handle
-            .try_poll()
-            .expect("a notified job is always complete");
+        let response = handle.poll().expect("a notified job is always complete");
         self.yielded += 1;
         if let Some(counters) = &self.counters {
             counters.results_yielded.fetch_add(1, Ordering::Relaxed);

@@ -105,7 +105,9 @@ impl EngineConfig {
     }
 }
 
-/// Submission-queue counters for one engine (see [`ConsensusEngine::stats`]).
+/// Submission-queue, pool, and kernel counters for one engine (see
+/// [`ConsensusEngine::stats`]). Precedence-cache counters, including matrix
+/// build time and delta folds, live in [`crate::CacheStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Configured bound on concurrently in-flight async jobs.
@@ -118,16 +120,6 @@ pub struct EngineStats {
     pub completed: u64,
     /// Async jobs rejected with [`EngineError::Overloaded`].
     pub rejected: u64,
-    /// Wall-clock nanoseconds spent building precedence matrices and group
-    /// indexes (cache misses only — replays cost nothing here).
-    pub matrix_build_ns: u64,
-    /// Rankings folded into warm precedence matrices by delta derivation
-    /// (dataset edits that skipped the full rebuild).
-    pub delta_appends: u64,
-    /// Rankings folded out of warm precedence matrices by delta derivation.
-    pub delta_retracts: u64,
-    /// Dataset-edit derivations that fell back to a full matrix rebuild.
-    pub delta_rebuild_fallbacks: u64,
     /// Wall-clock nanoseconds spent inside method solves, summed across all
     /// workers (CPU-side view of where engine time goes).
     pub solve_ns: u64,
@@ -267,17 +259,12 @@ impl ConsensusEngine {
     pub fn stats(&self) -> EngineStats {
         let pool = self.pool.stats();
         let kernels = mani_ranking::kernel_counter_snapshot();
-        let cache = self.cache.stats();
         EngineStats {
             queue_depth: self.queue_depth,
             in_flight: self.counters.in_flight.load(Ordering::Acquire),
             submitted: self.counters.submitted.load(Ordering::Relaxed),
             completed: self.counters.completed.load(Ordering::Relaxed),
             rejected: self.counters.rejected.load(Ordering::Relaxed),
-            matrix_build_ns: cache.build_ns,
-            delta_appends: cache.delta_appends,
-            delta_retracts: cache.delta_retracts,
-            delta_rebuild_fallbacks: cache.delta_rebuild_fallbacks,
             solve_ns: self.kernel_counters.solve_ns.load(Ordering::Relaxed),
             nodes_expanded: self.kernel_counters.nodes_expanded.load(Ordering::Relaxed),
             batches_opened: self.batch_counters.opened.load(Ordering::Relaxed),
@@ -809,8 +796,11 @@ mod tests {
             FairnessThresholds::uniform(0.3),
         ));
         assert!(response.is_complete());
+        assert!(
+            engine.cache().stats().build_ns > 0,
+            "one matrix build must be timed"
+        );
         let stats = engine.stats();
-        assert!(stats.matrix_build_ns > 0, "one matrix build must be timed");
         assert!(stats.solve_ns > 0, "method solves must be timed");
         assert!(
             stats.nodes_expanded > 0,
@@ -836,7 +826,7 @@ mod tests {
         let response = handle.wait();
         assert!(response.is_complete());
         assert_eq!(handle.status(), JobStatus::Done);
-        assert!(handle.try_poll().is_some());
+        assert!(handle.poll().is_ok());
         let stats = engine.stats();
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
@@ -951,7 +941,7 @@ mod tests {
             ))
             .expect("queue is empty");
         // No worker involvement: already done.
-        let response = handle.try_poll().expect("validation errors are immediate");
+        let response = handle.poll().expect("validation errors are immediate");
         assert!(matches!(
             response.results[0],
             Err(EngineError::InvalidRequest(_))

@@ -1,7 +1,7 @@
 //! Non-blocking job handles for asynchronously submitted consensus requests.
 //!
 //! [`crate::ConsensusEngine::submit_async`] returns a [`JobHandle`] immediately
-//! instead of joining the batch: the caller can poll it ([`JobHandle::try_poll`]),
+//! instead of joining the batch: the caller can poll it ([`JobHandle::poll`]),
 //! block on it ([`JobHandle::wait`] / [`JobHandle::wait_timeout`]), or stash it
 //! in a registry keyed by [`JobId`] — which is exactly what the `mani-serve`
 //! HTTP front-end does for its `GET /v1/jobs/{id}` endpoint.
@@ -209,11 +209,15 @@ impl JobHandle {
         }
     }
 
-    /// Returns the response if the job already finished, without blocking.
-    pub fn try_poll(&self) -> Option<Arc<ConsensusResponse>> {
+    /// Polls without blocking: the response if the job finished, otherwise
+    /// its current (never [`JobStatus::Done`]) phase. Both come from one read
+    /// under one lock, so a job that completes concurrently is seen either
+    /// as unfinished or with its response — never as done without one.
+    pub fn poll(&self) -> Result<Arc<ConsensusResponse>, JobStatus> {
         match self.state.lock().phase {
-            Phase::Done(ref response) => Some(Arc::clone(response)),
-            _ => None,
+            Phase::Queued => Err(JobStatus::Queued),
+            Phase::Running => Err(JobStatus::Running),
+            Phase::Done(ref response) => Ok(Arc::clone(response)),
         }
     }
 
@@ -291,10 +295,11 @@ mod tests {
         let handle = JobHandle::new(JobId::from_raw(7), Arc::clone(&state));
         assert_eq!(handle.status(), JobStatus::Queued);
         assert_eq!(handle.status().label(), "queued");
-        assert!(handle.try_poll().is_none());
+        assert_eq!(handle.poll().unwrap_err(), JobStatus::Queued);
 
         state.mark_running();
         assert_eq!(handle.status(), JobStatus::Running);
+        assert_eq!(handle.poll().unwrap_err(), JobStatus::Running);
         // Idempotent while running.
         state.mark_running();
         assert_eq!(handle.status(), JobStatus::Running);
@@ -304,8 +309,8 @@ mod tests {
         // A completed job stays completed even if a late task marks running.
         state.mark_running();
         assert_eq!(handle.status(), JobStatus::Done);
-        let first = handle.try_poll().expect("done");
-        let second = handle.try_poll().expect("still done");
+        let first = handle.poll().expect("done");
+        let second = handle.poll().expect("still done");
         assert!(Arc::ptr_eq(&first, &second), "pollers share one response");
     }
 

@@ -154,9 +154,9 @@ fn wait_timeout_expires_on_slow_jobs_and_status_progresses() {
     assert!(handle
         .wait_timeout(std::time::Duration::from_millis(1))
         .is_some());
-    // try_poll keeps returning the same shared response.
-    let a = handle.try_poll().unwrap();
-    let b = handle.try_poll().unwrap();
+    // poll keeps returning the same shared response.
+    let a = handle.poll().unwrap();
+    let b = handle.poll().unwrap();
     assert!(Arc::ptr_eq(&a, &b));
 }
 

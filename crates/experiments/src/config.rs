@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `smoke` keeps every experiment in the seconds range (used by tests and criterion
 /// benches); `paper` uses sizes close to the paper's published configuration — with the
 /// exact-optimisation experiments capped at the sizes our branch-and-bound solver closes
-/// reliably (the substitution for CPLEX is documented in `DESIGN.md`).
+/// reliably (the substitution for CPLEX is documented in the README's "Substitutions" section).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scale {
     /// Human-readable name of the scale (`"smoke"` or `"paper"`).
@@ -73,7 +73,7 @@ impl Scale {
     }
 
     /// Configuration close to the paper's published sizes. Exact-method candidate counts
-    /// are reduced (see `DESIGN.md` substitutions); everything else follows the paper.
+    /// are reduced (see the README's "Substitutions" section); everything else follows the paper.
     pub fn paper() -> Self {
         Self {
             name: "paper".into(),

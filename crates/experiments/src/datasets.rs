@@ -92,7 +92,7 @@ impl MallowsDataset {
     /// intersectional cell and roughly `scale.exact_candidates` candidates in total.
     ///
     /// The paper runs these experiments on the full 90-candidate population with CPLEX;
-    /// this reduction is the documented substitution for that solver (see `DESIGN.md`).
+    /// this reduction is the documented substitution for that solver (see the README's "Substitutions" section).
     pub fn generate_exact(level: FairnessLevel, scale: &Scale) -> Self {
         let per_cell = (scale.exact_candidates / 6).max(2);
         let db = compact_population(per_cell);

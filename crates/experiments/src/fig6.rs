@@ -5,7 +5,7 @@
 //! base rankings swept up to 20 000. Every method's wall-clock runtime is reported. The
 //! exact optimisation methods (Fair-Kemeny, Kemeny, Kemeny-Weighted) are only run while the
 //! candidate count is at or below the scale's exact cutoff — above that our CPLEX
-//! substitute would time out; see `DESIGN.md`.
+//! substitute would time out; see the README's "Substitutions" section.
 
 use mani_datagen::{binary_population, FairnessTarget, MallowsModel, ModalRankingBuilder};
 use mani_fairness::FairnessThresholds;

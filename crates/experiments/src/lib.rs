@@ -21,7 +21,7 @@
 //!
 //! All experiments accept a [`config::Scale`]: `Scale::smoke()` finishes in seconds and is
 //! exercised by tests/benches, `Scale::paper()` uses sizes close to the paper's (minutes;
-//! the exact-method sizes are reduced, see `DESIGN.md`).
+//! the exact-method sizes are reduced, see the README's "Substitutions" section).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

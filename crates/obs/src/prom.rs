@@ -37,18 +37,6 @@ impl PromWriter {
         self.out.push('\n');
     }
 
-    /// Convenience: header plus single unlabeled sample for a counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.family(name, "counter", help);
-        self.sample(name, &[], value as f64);
-    }
-
-    /// Convenience: header plus single unlabeled sample for a gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
-        self.family(name, "gauge", help);
-        self.sample(name, &[], value);
-    }
-
     /// Expands one histogram series: cumulative `_bucket` lines for every
     /// bound plus `+Inf`, then `_sum` and `_count`. `slot_counts` holds
     /// per-slot (non-cumulative) counts, one per bound plus a final overflow
@@ -130,8 +118,10 @@ mod tests {
     #[test]
     fn counters_and_gauges_render() {
         let mut writer = PromWriter::new();
-        writer.counter("mani_requests_total", "Requests served.", 42);
-        writer.gauge("mani_uptime_seconds", "Uptime.", 1.5);
+        writer.family("mani_requests_total", "counter", "Requests served.");
+        writer.sample("mani_requests_total", &[], 42.0);
+        writer.family("mani_uptime_seconds", "gauge", "Uptime.");
+        writer.sample("mani_uptime_seconds", &[], 1.5);
         let out = writer.finish();
         assert!(out.contains("# HELP mani_requests_total Requests served.\n"));
         assert!(out.contains("# TYPE mani_requests_total counter\n"));

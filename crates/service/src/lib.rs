@@ -20,6 +20,7 @@
 #![deny(missing_docs)]
 
 pub mod columnar;
+mod counters;
 pub mod error;
 pub mod metrics;
 pub mod registry;

@@ -35,6 +35,7 @@ use mani_obs::{PromWriter, SlowEntry, SlowRing, Span, TraceTimeline};
 use mani_ranking::{CandidateDb, GroupIndex, Ranking, RankingProfile};
 use serde::{Serialize, Value};
 
+use crate::counters::{Snapshot, DESCRIPTORS};
 use crate::error::{ApiError, ApiErrorKind};
 use crate::metrics::{EndpointMetrics, TransportStats, LATENCY_BUCKET_BOUNDS_US};
 use crate::registry::{DatasetRegistry, RegisteredDataset};
@@ -841,19 +842,22 @@ impl Service {
                 entry.request_id.clone(),
             )
         };
-        let Some(response) = handle.try_poll() else {
-            // Not done yet: release the would-be cache claim for a later
-            // poll.
-            let jobs = self.jobs.lock().expect("job registry lock poisoned");
-            if let Some(entry) = jobs.get(&id) {
-                entry.cached.store(false, Ordering::Release);
+        let response = match handle.poll() {
+            Ok(response) => response,
+            Err(status) => {
+                // Not done yet: release the would-be cache claim for a later
+                // poll.
+                let jobs = self.jobs.lock().expect("job registry lock poisoned");
+                if let Some(entry) = jobs.get(&id) {
+                    entry.cached.store(false, Ordering::Release);
+                }
+                return Ok(obj(vec![
+                    ("id", s(format!("job-{id}"))),
+                    ("status", s(status.label())),
+                    ("dataset", s(dataset.name())),
+                    ("request_id", s(&request_id)),
+                ]));
             }
-            return Ok(obj(vec![
-                ("id", s(format!("job-{id}"))),
-                ("status", s(handle.status().label())),
-                ("dataset", s(dataset.name())),
-                ("request_id", s(&request_id)),
-            ]));
         };
 
         let mut results = Vec::with_capacity(response.results.len());
@@ -1136,165 +1140,76 @@ impl Service {
         session.emit_lines(self, &mut |line| sink.emit_line(line))
     }
 
+    /// Reads every counter source once, for one stats or metrics render.
+    fn counter_snapshot(&self, transport: &TransportStats) -> Snapshot {
+        Snapshot {
+            engine: self.engine.stats(),
+            precedence: self.engine.cache().stats(),
+            responses: self.cache.stats(),
+            transport: *transport,
+            datasets: self.datasets.len(),
+            jobs: self.jobs.lock().expect("job registry lock poisoned").len(),
+        }
+    }
+
     /// The stats operation: every counter surface as one JSON document.
     /// `transport` carries whatever connection-level counters the embedding
     /// transport tracks (zeros for transports without a connection pool).
     pub fn stats(&self, transport: &TransportStats) -> Value {
-        let engine = self.engine.stats();
-        let precedence = self.engine.cache().stats();
-        let responses = self.cache.stats();
-        let jobs_tracked = self.jobs.lock().expect("job registry lock poisoned").len();
-        let latency = Value::Object(
-            self.metrics
-                .snapshots()
-                .into_iter()
-                .map(|(label, snap)| {
-                    (
-                        label.to_string(),
-                        obj(vec![
-                            ("count", Value::UInt(snap.count)),
-                            ("total_ms", Value::Float(snap.total_ns as f64 / 1e6)),
-                            (
-                                "le_us",
-                                Value::Array(
-                                    LATENCY_BUCKET_BOUNDS_US
-                                        .iter()
-                                        .map(|b| Value::UInt(*b))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "buckets",
-                                Value::Array(
-                                    snap.buckets.iter().map(|c| Value::UInt(*c)).collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        obj(vec![
-            (
-                "engine",
-                obj(vec![
-                    ("threads", Value::UInt(self.engine.threads() as u64)),
-                    (
-                        "kernel_threads",
-                        Value::UInt(self.engine.kernel_parallelism().max_threads() as u64),
-                    ),
-                    (
-                        "kernel_tile_size",
-                        Value::UInt(self.engine.kernel_parallelism().tile_size() as u64),
-                    ),
-                    ("queue_depth", Value::UInt(engine.queue_depth as u64)),
-                    ("in_flight", Value::UInt(engine.in_flight as u64)),
-                    ("submitted", Value::UInt(engine.submitted)),
-                    ("completed", Value::UInt(engine.completed)),
-                    ("rejected", Value::UInt(engine.rejected)),
-                ]),
-            ),
-            (
-                "kernels",
-                obj(vec![
-                    ("matrix_build_ns", Value::UInt(engine.matrix_build_ns)),
-                    ("solve_ns", Value::UInt(engine.solve_ns)),
-                    ("nodes_expanded", Value::UInt(engine.nodes_expanded)),
-                    ("fw_blocked_solves", Value::UInt(engine.fw_blocked_solves)),
-                    ("fw_tiles_relaxed", Value::UInt(engine.fw_tiles_relaxed)),
-                    ("pair_shard_tasks", Value::UInt(engine.pair_shard_tasks)),
-                    (
-                        "ranking_shard_tasks",
-                        Value::UInt(engine.ranking_shard_tasks),
-                    ),
-                ]),
-            ),
-            (
-                "streaming",
-                obj(vec![
-                    ("batches_opened", Value::UInt(engine.batches_opened)),
-                    ("batches_drained", Value::UInt(engine.batches_drained)),
-                    ("results_yielded", Value::UInt(engine.batch_results_yielded)),
-                ]),
-            ),
-            (
-                "precedence_cache",
-                obj(vec![
-                    ("lookups", Value::UInt(precedence.lookups)),
-                    ("hits", Value::UInt(precedence.hits)),
-                    ("builds", Value::UInt(precedence.builds)),
-                    ("delta_appends", Value::UInt(precedence.delta_appends)),
-                    ("delta_retracts", Value::UInt(precedence.delta_retracts)),
-                    (
-                        "delta_rebuild_fallbacks",
-                        Value::UInt(precedence.delta_rebuild_fallbacks),
-                    ),
-                    ("entries", Value::UInt(precedence.entries as u64)),
-                ]),
-            ),
-            (
-                "response_cache",
-                obj(vec![
-                    ("capacity", Value::UInt(responses.capacity as u64)),
-                    ("entries", Value::UInt(responses.entries as u64)),
-                    ("hits", Value::UInt(responses.hits)),
-                    ("misses", Value::UInt(responses.misses)),
-                    ("insertions", Value::UInt(responses.insertions)),
-                    ("evictions", Value::UInt(responses.evictions)),
-                ]),
-            ),
-            (
-                "server",
-                obj(vec![
-                    ("max_connections", Value::UInt(transport.max_connections)),
-                    ("conn_threads", Value::UInt(transport.conn_threads)),
-                    ("connections_accepted", Value::UInt(transport.accepted)),
-                    ("connections_rejected", Value::UInt(transport.rejected_busy)),
-                    ("requests_served", Value::UInt(transport.requests)),
-                    ("keepalive_reuses", Value::UInt(transport.keepalive_reuses)),
-                ]),
-            ),
-            ("latency", latency),
-            (
-                "datasets_registered",
-                Value::UInt(self.datasets.len() as u64),
-            ),
-            ("jobs_tracked", Value::UInt(jobs_tracked as u64)),
-            (
-                "slow_requests",
-                Value::Array(
-                    self.slow
-                        .snapshot()
-                        .into_iter()
-                        .map(|entry| {
-                            obj(vec![
-                                ("request_id", s(&entry.request_id)),
-                                ("endpoint", s(entry.endpoint)),
-                                ("target", s(&entry.target)),
-                                ("status", Value::UInt(u64::from(entry.status))),
-                                ("duration_ms", Value::Float(entry.duration_ns as f64 / 1e6)),
-                                (
-                                    "phases",
-                                    Value::Object(
-                                        entry
-                                            .phases
-                                            .iter()
-                                            .map(|(name, ns)| {
-                                                (name.to_string(), Value::Float(*ns as f64 / 1e6))
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "uptime_seconds",
-                Value::Float(self.started.elapsed().as_secs_f64()),
-            ),
-        ])
+        let snapshot = self.counter_snapshot(transport);
+        let kernel = self.engine.kernel_parallelism();
+        let config = obj(vec![
+            ("threads", Value::UInt(self.engine.threads() as u64)),
+            ("kernel_threads", Value::UInt(kernel.max_threads() as u64)),
+            ("kernel_tile_size", Value::UInt(kernel.tile_size() as u64)),
+        ]);
+        let mut doc = vec![("engine".to_string(), config)];
+        let mut top_level = Vec::new();
+        for descriptor in DESCRIPTORS {
+            let value = Value::UInt((descriptor.read)(&snapshot));
+            match descriptor.stat.split_once('.') {
+                Some((section, key)) => {
+                    section_entries(&mut doc, section).push((key.into(), value))
+                }
+                None if !descriptor.stat.is_empty() => {
+                    top_level.push((descriptor.stat.into(), value))
+                }
+                None => {}
+            }
+        }
+        let latency = self.metrics.snapshots().into_iter().map(|(label, snap)| {
+            let buckets = snap.buckets.iter().map(|c| Value::UInt(*c)).collect();
+            let bounds = LATENCY_BUCKET_BOUNDS_US
+                .iter()
+                .map(|b| Value::UInt(*b))
+                .collect();
+            let histogram = obj(vec![
+                ("count", Value::UInt(snap.count)),
+                ("total_ms", Value::Float(snap.total_ns as f64 / 1e6)),
+                ("le_us", Value::Array(bounds)),
+                ("buckets", Value::Array(buckets)),
+            ]);
+            (label.to_string(), histogram)
+        });
+        doc.push(("latency".into(), Value::Object(latency.collect())));
+        doc.extend(top_level);
+        let slow = self.slow.snapshot().into_iter().map(|entry| {
+            let phases = entry.phases.iter();
+            let phases =
+                phases.map(|(name, ns)| (name.to_string(), Value::Float(*ns as f64 / 1e6)));
+            obj(vec![
+                ("request_id", s(&entry.request_id)),
+                ("endpoint", s(entry.endpoint)),
+                ("target", s(&entry.target)),
+                ("status", Value::UInt(u64::from(entry.status))),
+                ("duration_ms", Value::Float(entry.duration_ns as f64 / 1e6)),
+                ("phases", Value::Object(phases.collect())),
+            ])
+        });
+        doc.push(("slow_requests".into(), Value::Array(slow.collect())));
+        let uptime = self.started.elapsed().as_secs_f64();
+        doc.push(("uptime_seconds".into(), Value::Float(uptime)));
+        Value::Object(doc)
     }
 
     /// The metrics operation: the whole counter surface in Prometheus text
@@ -1302,35 +1217,32 @@ impl Service {
     /// histograms, engine queue/job/kernel counters, worker-pool saturation,
     /// both cache layers, and the transport's connection counters.
     pub fn metrics_exposition(&self, build: &BuildInfo, transport: &TransportStats) -> String {
-        let engine = self.engine.stats();
-        let precedence = self.engine.cache().stats();
-        let responses = self.cache.stats();
-        let jobs_tracked = self.jobs.lock().expect("job registry lock poisoned").len();
-        let snapshots = self.metrics.snapshots();
-
+        let snapshot = self.counter_snapshot(transport);
+        let latency = self.metrics.snapshots();
         let mut w = PromWriter::new();
-        w.family("mani_build_info", "gauge", "Build identity (constant 1).");
-        w.sample("mani_build_info", &[("version", build.version)], 1.0);
-        w.gauge(
-            "mani_uptime_seconds",
-            "Seconds since this server state was created.",
-            self.started.elapsed().as_secs_f64(),
-        );
-
+        let build_info = "mani_build_info";
+        w.family(build_info, "gauge", "Build identity (constant 1).");
+        w.sample(build_info, &[("version", build.version)], 1.0);
+        let uptime = "mani_uptime_seconds";
         w.family(
-            "mani_http_requests_total",
+            uptime,
+            "gauge",
+            "Seconds since this server state was created.",
+        );
+        w.sample(uptime, &[], self.started.elapsed().as_secs_f64());
+
+        let requests = "mani_http_requests_total";
+        w.family(
+            requests,
             "counter",
             "HTTP requests dispatched, by endpoint label.",
         );
-        for (label, snap) in &snapshots {
-            w.sample(
-                "mani_http_requests_total",
-                &[("endpoint", *label)],
-                snap.count as f64,
-            );
+        for (label, snap) in &latency {
+            w.sample(requests, &[("endpoint", *label)], snap.count as f64);
         }
+        let duration = "mani_http_request_duration_seconds";
         w.family(
-            "mani_http_request_duration_seconds",
+            duration,
             "histogram",
             "HTTP request latency, by endpoint label.",
         );
@@ -1338,227 +1250,41 @@ impl Service {
             .iter()
             .map(|us| *us as f64 / 1e6)
             .collect();
-        for (label, snap) in &snapshots {
+        for (label, snap) in &latency {
+            let sum = snap.total_ns as f64 / 1e9;
             w.histogram(
-                "mani_http_request_duration_seconds",
+                duration,
                 &[("endpoint", *label)],
                 &bounds,
                 &snap.buckets,
-                snap.total_ns as f64 / 1e9,
+                sum,
             );
         }
 
-        w.counter(
-            "mani_connections_accepted_total",
-            "Connections handed to the worker pool.",
-            transport.accepted,
-        );
-        w.counter(
-            "mani_connections_rejected_total",
-            "Connections turned away at the accept path.",
-            transport.rejected_busy,
-        );
-        w.counter(
-            "mani_requests_served_total",
-            "HTTP exchanges served across all connections.",
-            transport.requests,
-        );
-        w.counter(
-            "mani_keepalive_reuses_total",
-            "Exchanges served on an already-used keep-alive connection.",
-            transport.keepalive_reuses,
-        );
-        w.gauge(
-            "mani_connections_max",
-            "Configured concurrent-connection bound.",
-            transport.max_connections as f64,
-        );
-        w.gauge(
-            "mani_connection_threads",
-            "Configured connection worker threads.",
-            transport.conn_threads as f64,
-        );
-
-        w.gauge(
-            "mani_engine_queue_depth",
-            "Configured engine job-queue bound.",
-            engine.queue_depth as f64,
-        );
-        w.gauge(
-            "mani_engine_jobs_in_flight",
-            "Jobs admitted and not yet completed.",
-            engine.in_flight as f64,
-        );
-        w.counter(
-            "mani_engine_jobs_submitted_total",
-            "Jobs admitted to the engine queue.",
-            engine.submitted,
-        );
-        w.counter(
-            "mani_engine_jobs_completed_total",
-            "Jobs that finished solving.",
-            engine.completed,
-        );
-        w.counter(
-            "mani_engine_jobs_rejected_total",
-            "Jobs refused because the queue was full.",
-            engine.rejected,
-        );
-        w.family(
-            "mani_engine_matrix_build_seconds_total",
-            "counter",
-            "Cumulative time spent building precedence matrices.",
-        );
-        w.sample(
-            "mani_engine_matrix_build_seconds_total",
-            &[],
-            engine.matrix_build_ns as f64 / 1e9,
-        );
-        w.family(
-            "mani_engine_solve_seconds_total",
-            "counter",
-            "Cumulative time spent inside method solvers.",
-        );
-        w.sample(
-            "mani_engine_solve_seconds_total",
-            &[],
-            engine.solve_ns as f64 / 1e9,
-        );
-        w.counter(
-            "mani_engine_nodes_expanded_total",
-            "Exact-solver search nodes expanded.",
-            engine.nodes_expanded,
-        );
-        w.counter(
-            "mani_kernel_fw_blocked_solves_total",
-            "Blocked (tiled) Floyd-Warshall solves, process-wide.",
-            engine.fw_blocked_solves,
-        );
-        w.counter(
-            "mani_kernel_fw_tiles_relaxed_total",
-            "Tiles relaxed by blocked Floyd-Warshall solves, process-wide.",
-            engine.fw_tiles_relaxed,
-        );
-        w.counter(
-            "mani_kernel_pair_shard_tasks_total",
-            "Candidate-pair shard tasks spawned by matrix/scoring kernels, process-wide.",
-            engine.pair_shard_tasks,
-        );
-        w.counter(
-            "mani_kernel_ranking_shard_tasks_total",
-            "Ranking shard tasks spawned by matrix build kernels, process-wide.",
-            engine.ranking_shard_tasks,
-        );
-        w.counter(
-            "mani_engine_batches_opened_total",
-            "Streaming batches opened.",
-            engine.batches_opened,
-        );
-        w.counter(
-            "mani_engine_batches_drained_total",
-            "Streaming batches fully drained.",
-            engine.batches_drained,
-        );
-        w.counter(
-            "mani_engine_batch_results_yielded_total",
-            "Streaming results yielded in as-completed order.",
-            engine.batch_results_yielded,
-        );
-        w.gauge(
-            "mani_pool_queued",
-            "Engine worker-pool jobs waiting for a thread.",
-            engine.pool_queued as f64,
-        );
-        w.gauge(
-            "mani_pool_busy",
-            "Engine worker-pool threads currently running a job.",
-            engine.pool_busy as f64,
-        );
-        w.counter(
-            "mani_pool_tasks_executed_total",
-            "Engine worker-pool jobs executed to completion.",
-            engine.pool_tasks_executed,
-        );
-
-        w.counter(
-            "mani_precedence_cache_lookups_total",
-            "Precedence-cache lookups.",
-            precedence.lookups,
-        );
-        w.counter(
-            "mani_precedence_cache_hits_total",
-            "Precedence-cache hits (matrix reused).",
-            precedence.hits,
-        );
-        w.counter(
-            "mani_precedence_cache_builds_total",
-            "Precedence matrices built.",
-            precedence.builds,
-        );
-        w.counter(
-            "mani_precedence_cache_delta_appends_total",
-            "Ranking appends folded into delta-derived precedence matrices.",
-            precedence.delta_appends,
-        );
-        w.counter(
-            "mani_precedence_cache_delta_retracts_total",
-            "Ranking retracts folded into delta-derived precedence matrices.",
-            precedence.delta_retracts,
-        );
-        w.counter(
-            "mani_precedence_cache_delta_rebuilds_total",
-            "Delta derivations that fell back to a full matrix rebuild.",
-            precedence.delta_rebuild_fallbacks,
-        );
-        w.gauge(
-            "mani_precedence_cache_entries",
-            "Precedence-cache resident entries.",
-            precedence.entries as f64,
-        );
-
-        w.gauge(
-            "mani_response_cache_capacity",
-            "Response-cache entry bound.",
-            responses.capacity as f64,
-        );
-        w.gauge(
-            "mani_response_cache_entries",
-            "Response-cache resident entries.",
-            responses.entries as f64,
-        );
-        w.counter(
-            "mani_response_cache_hits_total",
-            "Response-cache hits.",
-            responses.hits,
-        );
-        w.counter(
-            "mani_response_cache_misses_total",
-            "Response-cache misses.",
-            responses.misses,
-        );
-        w.counter(
-            "mani_response_cache_insertions_total",
-            "Response-cache insertions.",
-            responses.insertions,
-        );
-        w.counter(
-            "mani_response_cache_evictions_total",
-            "Response-cache LRU evictions.",
-            responses.evictions,
-        );
-
-        w.gauge(
-            "mani_datasets_registered",
-            "Datasets resident in the registry.",
-            self.datasets.len() as f64,
-        );
-        w.gauge(
-            "mani_jobs_tracked",
-            "Async jobs tracked for polling.",
-            jobs_tracked as f64,
-        );
-
+        for descriptor in DESCRIPTORS {
+            w.family(descriptor.family, descriptor.prom_type(), descriptor.help);
+            w.sample(descriptor.family, &[], descriptor.prom_value(&snapshot));
+        }
         w.finish()
+    }
+}
+
+/// The entries of the `/v1/stats` section object `name`, appended to `doc`
+/// the first time a descriptor names it.
+fn section_entries<'a>(
+    doc: &'a mut Vec<(String, Value)>,
+    name: &str,
+) -> &'a mut Vec<(String, Value)> {
+    let index = match doc.iter().position(|(key, _)| key == name) {
+        Some(index) => index,
+        None => {
+            doc.push((name.to_string(), Value::Object(Vec::new())));
+            doc.len() - 1
+        }
+    };
+    match &mut doc[index].1 {
+        Value::Object(entries) => entries,
+        _ => unreachable!("stats sections are objects"),
     }
 }
 
@@ -1836,6 +1562,37 @@ mod tests {
             service.job("banana").unwrap_err().kind,
             ApiErrorKind::InvalidArgument
         );
+    }
+
+    #[test]
+    fn concurrent_polls_never_report_done_without_results() {
+        let service = service();
+        for i in 0..32 {
+            // A distinct delta per job keeps each one off the response cache.
+            let body = demo_body(0.05 + 0.01 * f64::from(i), false);
+            let ConsensusReply::Accepted(accepted) = service
+                .consensus(&body, &RequestContext::new(None))
+                .unwrap()
+            else {
+                panic!("async submit must be accepted-pending");
+            };
+            let job = accepted.get("id").and_then(Value::as_str).unwrap();
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        loop {
+                            let text = render(&service.job(job).unwrap());
+                            if text.contains("\"status\":\"done\"") {
+                                assert!(text.contains("\"results\""), "done, no results: {text}");
+                                return;
+                            }
+                            assert!(Instant::now() < deadline, "{job} never completed");
+                        }
+                    });
+                }
+            });
+        }
     }
 
     #[test]

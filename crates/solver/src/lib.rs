@@ -25,7 +25,7 @@
 //! * **Anytime mode** — a node budget caps the search; if it is exhausted the best
 //!   feasible ranking found so far is returned with `optimal = false`.
 //!
-//! See `DESIGN.md` ("Substitutions") for why this preserves the paper's conclusions.
+//! See the README's "Substitutions" section for why this preserves the paper's conclusions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
