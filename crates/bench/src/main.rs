@@ -7,19 +7,20 @@
 //!
 //! With `--compare`, the fresh run is diffed against a previously committed
 //! baseline (same JSON format — any earlier `--out` file works): the gated
-//! metrics are the `schulze_strongest_paths` **flat kernel** and
-//! **`matrix_build` throughput**, and any slowdown beyond `--max-slowdown`
-//! (default 25%) exits non-zero. CI runs the smoke grid against
-//! `BENCH_baseline_smoke.json`; to re-baseline after an intentional change
-//! (or a runner-hardware change — baselines are machine-specific), copy the
-//! fresh JSON over the committed baseline.
+//! metrics are the `schulze_strongest_paths` **flat kernel**,
+//! **`matrix_build` throughput** and the **`make_mr_fair` correction**, and
+//! any slowdown beyond `--max-slowdown` (default 25%) exits non-zero. CI runs
+//! the smoke grid against `BENCH_baseline_smoke.json`; to re-baseline after
+//! an intentional change (or a runner-hardware change — baselines are
+//! machine-specific), copy the fresh JSON over the committed baseline.
 //!
-//! Measures the three intra-request kernels the engine's hot path is made of —
-//! precedence-matrix construction, Schulze strongest paths, and the
-//! Fair-Kemeny branch and bound — at a grid of `(n, |R|)` points, serial
-//! versus parallel, and (for Schulze) against the legacy nested-`Vec` kernel
-//! kept as the in-tree baseline; plus the wire codecs and the `delta_update`
-//! row comparing an append-1 precedence delta against a full rebuild. Results are written as JSON so successive
+//! Measures the intra-request kernels the engine's hot path is made of —
+//! precedence-matrix construction, Schulze strongest paths, the Make-MR-Fair
+//! correction, and the Fair-Kemeny branch and bound — at a grid of
+//! `(n, |R|)` points, serial versus parallel, and (for Schulze) against the
+//! legacy nested-`Vec` kernel kept as the in-tree baseline; plus the wire
+//! codecs and the `delta_update` row comparing an append-1 precedence delta
+//! against a full rebuild. Results are written as JSON so successive
 //! PRs have a trajectory to compare against; CI smoke-runs the tiny grid
 //! (`--smoke`) to keep this harness compiling and running.
 //!
@@ -29,10 +30,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mani_aggregation::SchulzeAggregator;
+use mani_aggregation::{BordaAggregator, SchulzeAggregator};
 use mani_bench::BenchFixture;
-use mani_core::{FairKemeny, MfcrMethod};
+use mani_core::{make_mr_fair, FairKemeny, MfcrMethod};
 use mani_engine::EngineDataset;
+use mani_fairness::FairnessThresholds;
 use mani_ranking::{available_threads, Parallelism, PrecedenceMatrix, Ranking};
 use mani_service::{
     dataset_to_value, decode_dataset, encode_dataset, parse_body, parse_dataset, render,
@@ -99,11 +101,12 @@ fn main() {
                 eprintln!(
                     "usage: mani-bench --json [--out FILE] [--smoke] [--iters N]\n\
                      \x20                 [--timestamp STR] [--compare BASELINE [--max-slowdown F]]\n\
-                     writes kernel throughput/latency for matrix-build, Schulze and\n\
-                     Fair-Kemeny at (n, |R|) grid points to FILE (default BENCH_kernels.json).\n\
+                     writes kernel throughput/latency for matrix-build, Schulze,\n\
+                     Make-MR-Fair and Fair-Kemeny at (n, |R|) grid points to FILE (default BENCH_kernels.json).\n\
                      --compare diffs the fresh run against a committed baseline and exits\n\
-                     non-zero when the Schulze flat kernel or matrix-build throughput\n\
-                     regresses by more than --max-slowdown (default 0.25).\n\
+                     non-zero when the Schulze flat kernel, matrix-build throughput or\n\
+                     the Make-MR-Fair correction regresses by more than --max-slowdown\n\
+                     (default 0.25).\n\
                      --timestamp stamps an opaque run label into the output's `meta`\n\
                      header (the comparison gate ignores the header entirely)."
                 );
@@ -131,33 +134,37 @@ fn main() {
     // `capped_iters`) so the regression gate exercises the tiled-kernel
     // regime, and the full grid extends to the CSRankings-scale points
     // n ∈ {1000, 2000, 5000}. The wire-codec grid sweeps ranking count (the
-    // axis the two encodings diverge on) at a fixed candidate pool.
-    let (matrix_grid, schulze_grid, kemeny_grid, codec_grid, delta_grid, mut iters) = if smoke {
-        (
-            vec![(48, 64)],
-            vec![(48, 24), (1000, 16)],
-            vec![(10, 8)],
-            vec![(32, 200)],
-            vec![(48, 64)],
-            3usize,
-        )
-    } else {
-        (
-            vec![(160, 400), (240, 240), (1000, 200), (2000, 100)],
-            vec![
-                (160, 40),
-                (256, 40),
-                (384, 40),
-                (1000, 40),
-                (2000, 40),
-                (5000, 40),
-            ],
-            vec![(20, 12), (26, 12)],
-            vec![(50, 1000), (50, 10000)],
-            vec![(160, 1000), (160, 10000)],
-            3usize,
-        )
-    };
+    // axis the two encodings diverge on) at a fixed candidate pool. The
+    // Make-MR-Fair grid includes the n = 768 threshold-sweep scale.
+    let (matrix_grid, schulze_grid, kemeny_grid, fair_grid, codec_grid, delta_grid, mut iters) =
+        if smoke {
+            (
+                vec![(48, 64)],
+                vec![(48, 24), (1000, 16)],
+                vec![(10, 8)],
+                vec![(200, 40)],
+                vec![(32, 200)],
+                vec![(48, 64)],
+                3usize,
+            )
+        } else {
+            (
+                vec![(160, 400), (240, 240), (1000, 200), (2000, 100)],
+                vec![
+                    (160, 40),
+                    (256, 40),
+                    (384, 40),
+                    (1000, 40),
+                    (2000, 40),
+                    (5000, 40),
+                ],
+                vec![(20, 12), (26, 12)],
+                vec![(200, 40), (768, 40), (2000, 40)],
+                vec![(50, 1000), (50, 10000)],
+                vec![(160, 1000), (160, 10000)],
+                3usize,
+            )
+        };
     if let Some(override_iters) = iters_override {
         iters = override_iters.max(1);
     }
@@ -173,6 +180,10 @@ fn main() {
     for &(n, r) in &kemeny_grid {
         eprintln!("fair-kemeny n={n} |R|={r} ...");
         entries.push(bench_fair_kemeny(n, r, &parallel, iters.min(2), smoke));
+    }
+    for &(n, r) in &fair_grid {
+        eprintln!("make-mr-fair n={n} |R|={r} ...");
+        entries.push(bench_make_mr_fair(n, r, capped_iters(n, iters)));
     }
     for &(n, r) in &codec_grid {
         eprintln!("wire-codec n={n} |R|={r} ...");
@@ -210,13 +221,14 @@ fn main() {
 /// The metrics the regression gate guards: `(kernel, field, what)` triples
 /// where `field` is a best-of-run latency in nanoseconds (lower is better —
 /// for a fixed grid point, latency slowdown equals throughput slowdown).
-const GATED_METRICS: [(&str, &str, &str); 2] = [
+const GATED_METRICS: [(&str, &str, &str); 3] = [
     (
         "schulze_strongest_paths",
         "flat_serial_ns",
         "Schulze flat kernel",
     ),
     ("matrix_build", "serial_ns", "matrix-build throughput"),
+    ("make_mr_fair", "serial_ns", "Make-MR-Fair correction"),
 ];
 
 /// Diffs `fresh` against the baseline file and reports every gated metric.
@@ -525,6 +537,28 @@ fn bench_fair_kemeny(
             ),
             ("nodes_explored".into(), serial.nodes_explored.to_string()),
             ("optimal".into(), serial.optimal.to_string()),
+        ],
+    }
+}
+
+/// Make-MR-Fair correction of a Low-Fair Borda consensus at Δ = 0.1: the
+/// post-processor behind Fair-Borda, Fair-Copeland and Fair-Schulze. `swaps`
+/// records the work done, so a timing change at an unchanged swap count is a
+/// change in per-swap cost.
+fn bench_make_mr_fair(n: usize, r: usize, iters: usize) -> Entry {
+    let fixture = BenchFixture::low_fair(n, r, 0.6, 0xFA1E);
+    let consensus = BordaAggregator::new().consensus(&fixture.profile);
+    let thresholds = FairnessThresholds::uniform(0.1);
+    let (serial_ns, report) = time_best(iters, || {
+        make_mr_fair(&consensus, &fixture.groups, &thresholds)
+    });
+    Entry {
+        kernel: "make_mr_fair",
+        n,
+        rankings: r,
+        fields: vec![
+            ("serial_ns".into(), serial_ns.to_string()),
+            ("swaps".into(), report.swaps.to_string()),
         ],
     }
 }

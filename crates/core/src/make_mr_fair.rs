@@ -14,11 +14,16 @@
 //! Each swap strictly decreases `G_highest`'s FPR and increases `G_lowest`'s, moving the
 //! axis towards statistical parity while disturbing as few pairwise preferences as
 //! possible. The loop terminates when every constrained axis is at or below its threshold
-//! (or, as a safety net, when the swap budget of `ω(X) · (|P| + 1)` is exhausted — the
-//! paper's worst-case bound).
+//! (or, as a safety net, when a greedy pass exhausts its swap budget of
+//! `min(ω(X) · (|P| + 1), 32n + 512)`: the paper's worst-case bound, capped at a small
+//! multiple of `n` so a stalled pass hands over to the fair-interleave fallback quickly).
+//!
+//! Every constrained axis keeps an [`AxisFpr`] position-sum accumulator that each swap
+//! updates in O(1), so the loop condition, the extreme-group pick, the most violating
+//! axis and the cross-axis guard read live scores instead of re-scanning the ranking.
 
-use mani_fairness::{group_fprs, FairnessThresholds};
-use mani_ranking::{total_pairs, GroupIndex, GroupMembership, Ranking};
+use mani_fairness::{AxisFpr, FairnessThresholds};
+use mani_ranking::{total_pairs, CandidateId, GroupIndex, GroupMembership, Ranking};
 use serde::Serialize;
 
 /// Result of a Make-MR-Fair correction.
@@ -76,54 +81,42 @@ fn greedy_correction(
     // quickly instead of burning the quadratic budget.
     let max_swaps =
         (total_pairs(n) * (groups.num_attributes() as u64 + 1)).min(32 * n as u64 + 512);
+    let mut axes = constrained_axes(&ranking, groups, thresholds);
     let mut swaps = 0u64;
 
-    loop {
-        let Some(axis) = most_violating_axis(&ranking, groups, thresholds) else {
-            return CorrectionReport {
-                ranking,
-                swaps,
-                satisfied: true,
-            };
+    let satisfied = 'rounds: loop {
+        let Some(correcting) = most_violating_axis(&axes) else {
+            break true;
         };
         // Correct the chosen axis all the way down to its threshold before re-examining the
         // others. Correcting one swap at a time and re-picking the most violating axis can
         // oscillate when two axes are correlated (each axis' swap partially undoes the
         // other's); fully correcting an axis per round behaves like coordinate descent and
         // converges on every workload in the evaluation.
-        let membership = axis_membership(groups, axis);
-        let delta = axis_delta(groups, thresholds, axis);
-        let guard = CrossAxisGuard::new(&ranking, groups, thresholds, axis);
-        let mut progressed = false;
-        while group_fprs(&ranking, membership).max_pairwise_gap() > delta + EPS {
+        let guard = CrossAxisGuard::new(n, &axes, correcting);
+        while axes[correcting].violated() {
             if swaps >= max_swaps {
-                return CorrectionReport {
-                    ranking,
-                    swaps,
-                    satisfied: false,
-                };
+                break 'rounds false;
             }
-            if !swap_towards_parity(&mut ranking, membership, &guard) {
-                // No parity-reducing swap exists along this axis; the correction cannot make
-                // further progress.
-                return CorrectionReport {
-                    ranking,
-                    swaps,
-                    satisfied: false,
-                };
+            // No parity-reducing swap along this axis: the correction cannot progress.
+            let Some((high_pos, low_pos)) = pick_swap(&ranking, &axes[correcting], &guard) else {
+                break 'rounds false;
+            };
+            let down = ranking.candidate_at(high_pos);
+            let up = ranking.candidate_at(low_pos);
+            ranking.swap_positions(high_pos, low_pos);
+            for axis in &mut axes {
+                let membership = axis.membership;
+                let (down_group, up_group) = (membership.group_of(down), membership.group_of(up));
+                axis.fpr.swapped(down_group, up_group, low_pos - high_pos);
             }
             swaps += 1;
-            progressed = true;
         }
-        if !progressed {
-            // The axis was already within threshold (numerical edge); avoid spinning.
-            let satisfied = most_violating_axis(&ranking, groups, thresholds).is_none();
-            return CorrectionReport {
-                ranking,
-                swaps,
-                satisfied,
-            };
-        }
+    };
+    CorrectionReport {
+        ranking,
+        swaps,
+        satisfied,
     }
 }
 
@@ -198,65 +191,61 @@ fn finest_constrained_partition(
     }
 }
 
-/// Effective threshold of an axis under the given threshold configuration.
-fn axis_delta(groups: &GroupIndex, thresholds: &FairnessThresholds, axis: AxisRef) -> f64 {
-    match axis {
-        AxisRef::Attribute(i) => {
-            let attr_id = groups
-                .attributes()
-                .nth(i)
-                .expect("axis index comes from enumeration")
-                .0;
-            thresholds.attribute_delta(attr_id).unwrap_or(1.0)
-        }
-        AxisRef::Intersection => thresholds.intersection_delta().unwrap_or(1.0),
+/// One constrained axis (protected attribute or intersection): its threshold and the live
+/// FPR scores of its groups.
+struct ConstrainedAxis<'a> {
+    membership: &'a GroupMembership,
+    delta: f64,
+    fpr: AxisFpr,
+}
+
+impl ConstrainedAxis<'_> {
+    /// The axis' ARP/IRP: the largest FPR gap between two of its groups.
+    fn parity(&self) -> f64 {
+        self.fpr.scores().max_pairwise_gap()
+    }
+
+    fn violated(&self) -> bool {
+        self.parity() > self.delta + EPS
     }
 }
 
-/// Which grouping axis a violation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AxisRef {
-    Attribute(usize),
-    Intersection,
-}
-
-fn axis_membership(groups: &GroupIndex, axis: AxisRef) -> &GroupMembership {
-    match axis {
-        AxisRef::Attribute(i) => {
-            let attr_id = groups
-                .attributes()
-                .nth(i)
-                .expect("axis index comes from enumeration")
-                .0;
-            groups.attribute(attr_id)
-        }
-        AxisRef::Intersection => groups.intersection(),
-    }
-}
-
-/// The constrained axis with the largest ARP/IRP among those exceeding their thresholds,
-/// or `None` when the ranking already satisfies MANI-Rank.
-fn most_violating_axis(
+/// Every constrained axis of `ranking`: the attributes in index order, then the
+/// intersection.
+fn constrained_axes<'a>(
     ranking: &Ranking,
-    groups: &GroupIndex,
+    groups: &'a GroupIndex,
     thresholds: &FairnessThresholds,
-) -> Option<AxisRef> {
-    let mut worst: Option<(AxisRef, f64)> = None;
-    for (i, (attr_id, membership)) in groups.attributes().enumerate() {
-        if let Some(delta) = thresholds.attribute_delta(attr_id) {
-            let score = group_fprs(ranking, membership).max_pairwise_gap();
-            if score > delta + EPS && worst.as_ref().is_none_or(|(_, s)| score > *s) {
-                worst = Some((AxisRef::Attribute(i), score));
-            }
+) -> Vec<ConstrainedAxis<'a>> {
+    let attributes = groups.attributes().filter_map(|(attr_id, membership)| {
+        thresholds
+            .attribute_delta(attr_id)
+            .map(|delta| (membership, delta))
+    });
+    let intersection = thresholds
+        .intersection_delta()
+        .map(|delta| (groups.intersection(), delta));
+    attributes
+        .chain(intersection)
+        .map(|(membership, delta)| ConstrainedAxis {
+            membership,
+            delta,
+            fpr: AxisFpr::new(ranking, membership),
+        })
+        .collect()
+}
+
+/// Index of the axis with the largest ARP/IRP among those exceeding their thresholds (the
+/// first on ties), or `None` when the ranking already satisfies MANI-Rank.
+fn most_violating_axis(axes: &[ConstrainedAxis<'_>]) -> Option<usize> {
+    let mut worst: Option<(usize, f64)> = None;
+    for (i, axis) in axes.iter().enumerate() {
+        let score = axis.parity();
+        if score > axis.delta + EPS && worst.is_none_or(|(_, s)| score > s) {
+            worst = Some((i, score));
         }
     }
-    if let Some(delta) = thresholds.intersection_delta() {
-        let score = group_fprs(ranking, groups.intersection()).max_pairwise_gap();
-        if score > delta + EPS && worst.as_ref().is_none_or(|(_, s)| score > *s) {
-            worst = Some((AxisRef::Intersection, score));
-        }
-    }
-    worst.map(|(axis, _)| axis)
+    worst.map(|(i, _)| i)
 }
 
 /// Cross-axis lookahead used to break deterministic swap cycles between correlated axes.
@@ -269,28 +258,28 @@ fn most_violating_axis(
 /// progress of previously corrected axes. Preference only — if no harmless partner exists,
 /// the default Make-MR-Fair pair is used.
 struct CrossAxisGuard {
-    /// `(membership snapshot reference is not stored; we store per-candidate flags)`.
+    /// Indexed by candidate: true when the candidate belongs to the lowest-FPR group of
+    /// another constrained axis, so demoting it widens that axis' gap.
     avoid_moving_down: Vec<bool>,
+    /// Indexed by candidate: true when the candidate belongs to the highest-FPR group of
+    /// another constrained axis, so promoting it widens that axis' gap.
     avoid_moving_up: Vec<bool>,
 }
 
 impl CrossAxisGuard {
-    fn new(
-        ranking: &Ranking,
-        groups: &GroupIndex,
-        thresholds: &FairnessThresholds,
-        correcting: AxisRef,
-    ) -> Self {
-        let n = ranking.len();
+    /// Snapshot of the extreme groups of every axis except `axes[correcting]`.
+    fn new(n: usize, axes: &[ConstrainedAxis<'_>], correcting: usize) -> Self {
         let mut avoid_moving_down = vec![false; n];
         let mut avoid_moving_up = vec![false; n];
-        let mut mark = |membership: &GroupMembership| {
-            let fprs = group_fprs(ranking, membership);
-            let (Some(high), Some(low)) = (fprs.argmax(), fprs.argmin()) else {
-                return;
+        for (i, axis) in axes.iter().enumerate() {
+            if i == correcting {
+                continue;
+            }
+            let scores = axis.fpr.scores();
+            let (Some(high), Some(low)) = (scores.argmax(), scores.argmin()) else {
+                continue;
             };
-            for cand in 0..n {
-                let g = membership.membership()[cand];
+            for (cand, &g) in axis.membership.membership().iter().enumerate() {
                 if g == low {
                     avoid_moving_down[cand] = true;
                 }
@@ -298,17 +287,6 @@ impl CrossAxisGuard {
                     avoid_moving_up[cand] = true;
                 }
             }
-        };
-        for (i, (attr_id, membership)) in groups.attributes().enumerate() {
-            if correcting == AxisRef::Attribute(i) {
-                continue;
-            }
-            if thresholds.attribute_delta(attr_id).is_some() {
-                mark(membership);
-            }
-        }
-        if correcting != AxisRef::Intersection && thresholds.intersection_delta().is_some() {
-            mark(groups.intersection());
         }
         Self {
             avoid_moving_down,
@@ -316,82 +294,67 @@ impl CrossAxisGuard {
         }
     }
 
-    fn harmless_down(&self, candidate: mani_ranking::CandidateId) -> bool {
+    fn harmless_down(&self, candidate: CandidateId) -> bool {
         !self.avoid_moving_down[candidate.index()]
     }
 
-    fn harmless_up(&self, candidate: mani_ranking::CandidateId) -> bool {
+    fn harmless_up(&self, candidate: CandidateId) -> bool {
         !self.avoid_moving_up[candidate.index()]
     }
 }
 
-/// One Make-MR-Fair swap along an axis; returns false when no valid pair exists.
-fn swap_towards_parity(
-    ranking: &mut Ranking,
-    membership: &GroupMembership,
+/// Positions `(x_Gh, x_Gl)` of one Make-MR-Fair swap along `axis`, or `None` when no valid
+/// pair exists.
+fn pick_swap(
+    ranking: &Ranking,
+    axis: &ConstrainedAxis<'_>,
     guard: &CrossAxisGuard,
-) -> bool {
-    let fprs = group_fprs(ranking, membership);
-    let (Some(high_group), Some(low_group)) = (fprs.argmax(), fprs.argmin()) else {
-        return false;
-    };
+) -> Option<(usize, usize)> {
+    let scores = axis.fpr.scores();
+    let (high_group, low_group) = (scores.argmax()?, scores.argmin()?);
     if high_group == low_group {
-        return false;
+        return None;
     }
+    let group_at = |pos| axis.membership.group_of(ranking.candidate_at(pos));
     // Bottom-most member of the low group; x_Gh must be above it to have a partner.
-    let mut bottom_low = None;
-    for pos in (0..ranking.len()).rev() {
-        if membership.group_of(ranking.candidate_at(pos)) == low_group {
-            bottom_low = Some(pos);
-            break;
-        }
-    }
-    let Some(bottom_low) = bottom_low else {
-        return false;
-    };
+    let bottom_low = (0..ranking.len())
+        .rev()
+        .find(|&pos| group_at(pos) == low_group)?;
     // x_Gh: lowest-ranked member of the high group above that position, preferring one whose
     // demotion does not hurt another constrained axis.
     let mut default_high = None;
     let mut preferred_high = None;
     for pos in (0..bottom_low).rev() {
-        let cand = ranking.candidate_at(pos);
-        if membership.group_of(cand) != high_group {
+        if group_at(pos) != high_group {
             continue;
         }
-        if default_high.is_none() {
-            default_high = Some(pos);
-        }
-        if guard.harmless_down(cand) {
+        default_high.get_or_insert(pos);
+        if guard.harmless_down(ranking.candidate_at(pos)) {
             preferred_high = Some(pos);
             break;
         }
     }
-    let Some(high_pos) = preferred_high.or(default_high) else {
-        return false;
-    };
+    let high_pos = preferred_high.or(default_high)?;
     // x_Gl: highest-ranked member of the low group below x_Gh, preferring one whose
     // promotion does not hurt another constrained axis.
     let mut default_low = None;
     let mut preferred_low = None;
     for pos in (high_pos + 1)..ranking.len() {
-        let cand = ranking.candidate_at(pos);
-        if membership.group_of(cand) != low_group {
+        if group_at(pos) != low_group {
             continue;
         }
-        if default_low.is_none() {
-            default_low = Some(pos);
-        }
-        if guard.harmless_up(cand) {
+        default_low.get_or_insert(pos);
+        if guard.harmless_up(ranking.candidate_at(pos)) {
             preferred_low = Some(pos);
             break;
         }
     }
-    let Some(low_pos) = preferred_low.or(default_low) else {
-        return false;
-    };
-    ranking.swap_positions(high_pos, low_pos);
-    true
+    let low_pos = preferred_low.or(default_low)?;
+    Some((high_pos, low_pos))
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -524,9 +487,10 @@ mod tests {
                 let criteria = ManiRankCriteria::evaluate(&report.ranking, &idx, &thresholds);
                 prop_assert!(criteria.is_satisfied());
             }
-            // Two greedy passes (before and after the interleave fallback), each bounded by
-            // ω(X)·(|P|+1)·4 with |P| = 2 attributes.
-            prop_assert!(report.swaps <= total_pairs(db.len()) * 24);
+            // Two greedy passes (before and after the interleave fallback), each capped at
+            // min(ω(X)·(|P|+1), 32n + 512) swaps with |P| = 2 attributes.
+            let n = db.len() as u64;
+            prop_assert!(report.swaps <= 2 * (total_pairs(db.len()) * 3).min(32 * n + 512));
         }
     }
 }

@@ -11,10 +11,22 @@
 //! `0.5` means the group receives its directly proportional share of favored positions —
 //! i.e. statistical parity for that group.
 //!
-//! The implementation computes the FPR of *every* group along a grouping axis (one
-//! protected attribute or the intersection) in a single O(n + g) pass over the ranking,
-//! by walking from the bottom up and tracking how many already-seen candidates lie below
-//! each group.
+//! ## Position-sum identity
+//!
+//! A member at position `p` (0 = best) sits above `n − 1 − p` candidates, and the
+//! within-group pairs of `G` are counted once each, so the favored count is exact
+//! integer arithmetic on one sum:
+//!
+//! ```text
+//! favored(G) = |G| · (n − 1) − Σ_{x ∈ G} pos(x) − |G| (|G| − 1) / 2
+//! ```
+//!
+//! FPR therefore depends only on each group's position sum. [`AxisFpr`] keeps those sums
+//! for every group along one grouping axis (one protected attribute or the
+//! intersection): building it is one O(n + g) pass over the ranking, and a swap that
+//! moves one candidate down by `d` and another up by `d` changes two sums by `±d`, so
+//! the scores are kept current in O(1) per swap. [`group_fprs`] is the from-scratch
+//! build; the same integer yields the same `f64` either way.
 
 use mani_ranking::{GroupMembership, Ranking};
 use serde::{Deserialize, Serialize};
@@ -88,48 +100,84 @@ impl FprScores {
     }
 }
 
+/// Live FPR scores of every group along one grouping axis, kept as position sums.
+///
+/// Built from a ranking in one pass; [`AxisFpr::swapped`] then updates the scores in O(1)
+/// for each swap applied to that ranking, bit-identical to a fresh [`group_fprs`].
+#[derive(Debug, Clone)]
+pub struct AxisFpr {
+    n: usize,
+    sizes: Vec<usize>,
+    position_sums: Vec<u64>,
+    scores: FprScores,
+}
+
+impl AxisFpr {
+    /// Position sums and scores of every group along `membership` in `ranking`.
+    ///
+    /// # Panics
+    /// Panics if the ranking and membership table cover different numbers of candidates;
+    /// that is a programming error (they must come from the same database).
+    pub fn new(ranking: &Ranking, membership: &GroupMembership) -> Self {
+        assert_eq!(
+            ranking.len(),
+            membership.num_candidates(),
+            "ranking and group membership must cover the same candidates"
+        );
+        let num_groups = membership.num_groups();
+        let mut position_sums = vec![0u64; num_groups];
+        for (pos, candidate) in ranking.iter().enumerate() {
+            position_sums[membership.group_of(candidate)] += pos as u64;
+        }
+        let mut axis = Self {
+            n: ranking.len(),
+            sizes: (0..num_groups).map(|g| membership.group_size(g)).collect(),
+            position_sums,
+            scores: FprScores {
+                scores: vec![None; num_groups],
+            },
+        };
+        for g in 0..num_groups {
+            axis.refresh(g);
+        }
+        axis
+    }
+
+    /// Records a swap in which a member of `down_group` moved `distance` positions down
+    /// and a member of `up_group` moved `distance` positions up.
+    pub fn swapped(&mut self, down_group: usize, up_group: usize, distance: usize) {
+        if down_group == up_group {
+            return;
+        }
+        self.position_sums[down_group] += distance as u64;
+        self.position_sums[up_group] -= distance as u64;
+        self.refresh(down_group);
+        self.refresh(up_group);
+    }
+
+    /// Current scores of every group along the axis.
+    pub fn scores(&self) -> &FprScores {
+        &self.scores
+    }
+
+    /// Recomputes group `g`'s score from its position sum (see the module doc).
+    fn refresh(&mut self, g: usize) {
+        let mixed = mani_ranking::mixed_pairs_for_group(self.sizes[g], self.n);
+        self.scores.scores[g] = (mixed != 0).then(|| {
+            let (size, n) = (self.sizes[g] as u64, self.n as u64);
+            let favored = size * (n - 1) - size * (size - 1) / 2 - self.position_sums[g];
+            favored as f64 / mixed as f64
+        });
+    }
+}
+
 /// Computes the FPR of every group along one grouping axis in a single pass.
 ///
 /// # Panics
 /// Panics if the ranking and membership table cover different numbers of candidates;
 /// that is a programming error (they must come from the same database).
-#[allow(clippy::explicit_counter_loop)] // seen_total counts candidates walked, not loop turns
 pub fn group_fprs(ranking: &Ranking, membership: &GroupMembership) -> FprScores {
-    assert_eq!(
-        ranking.len(),
-        membership.num_candidates(),
-        "ranking and group membership must cover the same candidates"
-    );
-    let n = ranking.len();
-    let num_groups = membership.num_groups();
-
-    // favored[g] accumulates, over members x of g, the number of non-members below x.
-    let mut favored = vec![0u64; num_groups];
-    // seen_below[g] = how many members of g we have already passed walking bottom-up.
-    let mut seen_below = vec![0u64; num_groups];
-    let mut seen_total = 0u64;
-
-    for pos in (0..n).rev() {
-        let candidate = ranking.candidate_at(pos);
-        let g = membership.group_of(candidate);
-        // Candidates below this one that are NOT in g:
-        favored[g] += seen_total - seen_below[g];
-        seen_below[g] += 1;
-        seen_total += 1;
-    }
-
-    let scores = (0..num_groups)
-        .map(|g| {
-            let size = membership.group_size(g);
-            let mixed = mani_ranking::mixed_pairs_for_group(size, n);
-            if mixed == 0 {
-                None
-            } else {
-                Some(favored[g] as f64 / mixed as f64)
-            }
-        })
-        .collect();
-    FprScores { scores }
+    AxisFpr::new(ranking, membership).scores
 }
 
 /// FPR of a single group along an axis. Convenience wrapper over [`group_fprs`].
@@ -146,7 +194,7 @@ mod tests {
     };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Database with one binary attribute split sizes (na, nb) in blocks.
     fn binary_db(na: usize, nb: usize) -> (CandidateDb, GroupIndex) {
@@ -297,6 +345,55 @@ mod tests {
                     (a, b) => prop_assert_eq!(a, b),
                 }
             }
+        }
+
+        #[test]
+        fn prop_accumulator_tracks_random_swaps_bit_for_bit(
+            n_a in 1usize..12,
+            n_b in 0usize..12,
+            seed in any::<u64>(),
+            num_swaps in 1usize..40,
+        ) {
+            // Attribute G has an always-empty third value; attribute H puts every candidate
+            // in its first value (a whole-database group) and none in its second. Both kinds
+            // of group must stay `None` through every swap.
+            let mut b = CandidateDbBuilder::new();
+            let g = b.add_attribute("G", ["a", "b", "never"]).unwrap();
+            let h = b.add_attribute("H", ["all", "none"]).unwrap();
+            let n = n_a + n_b;
+            for i in 0..n {
+                b.add_candidate(format!("c{i}"), [(g, usize::from(i >= n_a)), (h, 0)])
+                    .unwrap();
+            }
+            let db = b.build().unwrap();
+            let idx = GroupIndex::new(&db);
+            let axes = [idx.attribute(g), idx.attribute(h), idx.intersection()];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ranking = Ranking::random(n, &mut rng);
+            let mut accumulators: Vec<AxisFpr> =
+                axes.iter().map(|axis| AxisFpr::new(&ranking, axis)).collect();
+            for _ in 0..num_swaps {
+                let (p, q) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let (top, bottom) = (p.min(q), p.max(q));
+                let down = ranking.candidate_at(top);
+                let up = ranking.candidate_at(bottom);
+                ranking.swap_positions(top, bottom);
+                for (acc, axis) in accumulators.iter_mut().zip(axes) {
+                    acc.swapped(axis.group_of(down), axis.group_of(up), bottom - top);
+                    let fresh = group_fprs(&ranking, axis);
+                    prop_assert_eq!(acc.scores(), &fresh);
+                    for group in 0..axis.num_groups() {
+                        let bits = |score: Option<f64>| score.map(f64::to_bits);
+                        prop_assert_eq!(
+                            bits(acc.scores().score(group)),
+                            bits(reference_fpr(&ranking, axis, group, n))
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(accumulators[1].scores().score(0), None);
+            prop_assert_eq!(accumulators[1].scores().score(1), None);
+            prop_assert_eq!(accumulators[0].scores().score(2), None);
         }
 
         #[test]
