@@ -7,26 +7,20 @@
 //! many opponents they beat in the strongest-path comparison (`p[a][b] > p[b][a]`), which
 //! yields a complete, Condorcet-consistent order; ties are broken by candidate id.
 //!
-//! Three kernels implement the strongest-path computation:
+//! One kernel implements the strongest-path computation,
+//! [`SchulzeAggregator::strongest_paths_matrix`]: cache-blocked (tiled)
+//! Floyd–Warshall over a flat row-major [`PathMatrix`] in the standard
+//! three-phase blocked order (diagonal tile, then the pivot row/column panels,
+//! then the remainder), parallelised by tile-row blocks when the budget
+//! allows. A matrix that fits in one tile runs only the first phase, which is
+//! the plain untiled Floyd–Warshall loop (row slices, whole relaxation rows
+//! skipped when `p[a][k] == 0`).
 //!
-//! * [`SchulzeAggregator::strongest_paths`] — the straightforward nested-`Vec`
-//!   reference implementation, retained for differential tests and as the
-//!   serial baseline in `mani-bench`'s kernel benchmarks.
-//! * [`SchulzeAggregator::strongest_paths_flat`] — the untiled flat kernel
-//!   (the PR-3 production kernel, now on `u32` cells): flat row-major
-//!   [`PathMatrix`], rows read as slices, entire relaxation rows skipped when
-//!   `p[a][k] == 0`.
-//! * [`SchulzeAggregator::strongest_paths_matrix`] — the production
-//!   dispatcher: cache-blocked (tiled) Floyd–Warshall on `u32` cells in the
-//!   standard three-phase blocked order (diagonal tile, then the pivot
-//!   row/column panels, then the remainder), optionally parallelised by
-//!   tile-row blocks. Falls back to the untiled kernels below
-//!   [`mani_ranking::parallel::FW_TILE_MIN_N`] candidates.
-//!
-//! All kernels produce bit-identical strengths: the max–min (widest-path)
-//! closure is unique, every relaxation uses genuine path strengths (so no
-//! kernel can overshoot it), and each kernel performs a complete
-//! Floyd–Warshall schedule (so none can undershoot it).
+//! Every tile size and thread count produces bit-identical strengths: the
+//! max–min (widest-path) closure is unique, every relaxation uses genuine
+//! path strengths (so no schedule can overshoot it), and every schedule is a
+//! complete Floyd–Warshall (so none can undershoot it). A test-only
+//! nested-`Vec` reference kernel (`schulze/reference.rs`) pins this.
 //!
 //! Cells are `u32`: path strengths are bounded by the largest pairwise
 //! support, and [`PrecedenceMatrix`] construction rejects profiles whose total
@@ -70,20 +64,6 @@ impl PathMatrix {
     pub fn row(&self, a: usize) -> &[u32] {
         &self.strengths[a * self.n..][..self.n]
     }
-
-    /// The strengths in the legacy nested `u64` layout.
-    ///
-    /// **Compat shim for differential tests only**: it exists solely to
-    /// compare against [`SchulzeAggregator::strongest_paths`], allocates
-    /// `n + 1` vectors and widens every cell, and must not be called on hot
-    /// paths — production consumers read [`PathMatrix::row`] /
-    /// [`PathMatrix::strength`] directly.
-    pub fn to_nested(&self) -> Vec<Vec<u64>> {
-        self.strengths
-            .chunks_exact(self.n)
-            .map(|row| row.iter().map(|&s| s as u64).collect())
-            .collect()
-    }
 }
 
 /// The Schulze consensus method.
@@ -96,76 +76,18 @@ impl SchulzeAggregator {
         Self
     }
 
-    /// Computes the matrix of strongest path strengths `p[a][b]` — reference
-    /// implementation in the legacy nested layout.
+    /// Computes strongest path strengths into a flat [`PathMatrix`] with the
+    /// cache-blocked Floyd–Warshall kernel: tile edge from
+    /// [`Parallelism::fw_tile_size`], worker count from
+    /// [`Parallelism::kernel_threads`] (workers own blocks of tile rows).
     ///
-    /// Only edges with positive support participate (the standard "winning votes" variant:
-    /// an edge exists from `a` to `b` when more rankings prefer `a` to `b` than vice versa).
+    /// Only edges with positive support participate (the standard "winning
+    /// votes" variant: an edge exists from `a` to `b` when more rankings
+    /// prefer `a` to `b` than vice versa).
     ///
-    /// This is the differential-testing reference and the serial baseline of
-    /// the kernel benchmarks; production call sites use
-    /// [`SchulzeAggregator::strongest_paths_matrix`].
-    #[allow(clippy::needless_range_loop)] // Floyd-Warshall style: indices are the clearer idiom
-    pub fn strongest_paths(&self, matrix: &PrecedenceMatrix) -> Vec<Vec<u64>> {
-        let n = matrix.num_candidates();
-        let mut p = vec![vec![0u64; n]; n];
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let (ca, cb) = (CandidateId(a as u32), CandidateId(b as u32));
-                let support = matrix.support_for(ca, cb) as u64;
-                let against = matrix.support_for(cb, ca) as u64;
-                if support > against {
-                    p[a][b] = support;
-                }
-            }
-        }
-        for k in 0..n {
-            for a in 0..n {
-                if a == k {
-                    continue;
-                }
-                for b in 0..n {
-                    if b == a || b == k {
-                        continue;
-                    }
-                    let through_k = p[a][k].min(p[k][b]);
-                    if through_k > p[a][b] {
-                        p[a][b] = through_k;
-                    }
-                }
-            }
-        }
-        p
-    }
-
-    /// Computes strongest path strengths with the untiled flat serial kernel
-    /// (the PR-3 production kernel ported to `u32` cells).
-    ///
-    /// Kept public as the benchmark comparison point for the tiled kernel and
-    /// as the middle rung of the differential tests; production call sites use
-    /// [`SchulzeAggregator::strongest_paths_matrix`].
-    pub fn strongest_paths_flat(&self, matrix: &PrecedenceMatrix) -> PathMatrix {
-        let n = matrix.num_candidates();
-        let mut strengths = direct_edges(matrix);
-        floyd_warshall_serial(&mut strengths, n);
-        zero_diagonal(&mut strengths, n);
-        PathMatrix { n, strengths }
-    }
-
-    /// Computes strongest path strengths into a flat [`PathMatrix`], choosing
-    /// the kernel from `parallelism`: tile size via
-    /// [`Parallelism::fw_tile_size`] (auto-tiled at
-    /// [`mani_ranking::parallel::FW_TILE_MIN_N`] candidates and above, untiled
-    /// below) and thread count via [`Parallelism::kernel_threads`]
-    /// (parallelised by row blocks, or tile-row blocks when tiled).
-    ///
-    /// Bit-identical to [`SchulzeAggregator::strongest_paths`] for every tile
-    /// size and thread count: the widest-path closure is unique, so any
-    /// complete Floyd–Warshall schedule — blocked or not, sharded or not —
-    /// computes the same integers.
+    /// Bit-identical for every tile size and thread count: the widest-path
+    /// closure is unique, so any complete Floyd–Warshall schedule — one tile
+    /// or many, sharded or not — computes the same integers.
     pub fn strongest_paths_matrix(
         &self,
         matrix: &PrecedenceMatrix,
@@ -174,19 +96,10 @@ impl SchulzeAggregator {
         let n = matrix.num_candidates();
         let mut strengths = direct_edges(matrix);
         let tile = parallelism.fw_tile_size(n);
-        let threads = parallelism.kernel_threads(n);
+        floyd_warshall_tiled_parallel(&mut strengths, n, tile, parallelism.kernel_threads(n));
         if tile < n {
             let nb = n.div_ceil(tile);
-            if threads > 1 && nb > 1 {
-                floyd_warshall_tiled_parallel(&mut strengths, n, tile, threads);
-            } else {
-                floyd_warshall_tiled_serial(&mut strengths, n, tile);
-            }
             record_fw_blocked_solve((nb * nb * nb) as u64);
-        } else if threads > 1 && n >= 2 {
-            floyd_warshall_parallel(&mut strengths, n, threads);
-        } else {
-            floyd_warshall_serial(&mut strengths, n);
         }
         zero_diagonal(&mut strengths, n);
         PathMatrix { n, strengths }
@@ -211,43 +124,31 @@ impl SchulzeAggregator {
         let p = self.strongest_paths_matrix(matrix, parallelism);
         // Score = number of opponents beaten in the strongest-path relation.
         let threads = parallelism.kernel_threads(n);
-        let scores = if threads > 1 {
-            let p = &p;
-            let parts: Vec<_> = shard_ranges(n, threads)
-                .into_iter()
-                .map(|range| {
-                    move || {
-                        let mut scores = vec![0u64; range.len()];
-                        for (score, a) in scores.iter_mut().zip(range.clone()) {
-                            let row_a = p.row(a);
-                            for (b, &forward) in row_a.iter().enumerate() {
-                                if b != a && forward > p.strength(b, a) {
-                                    *score += 1;
-                                }
+        let p = &p;
+        // Every shard fills its own disjoint slice of `scores`.
+        let mut scores = vec![0u64; n];
+        let mut rest = scores.as_mut_slice();
+        let parts: Vec<_> = shard_ranges(n, threads)
+            .into_iter()
+            .map(|range| {
+                let (shard, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                move || {
+                    for (score, a) in shard.iter_mut().zip(range) {
+                        let row_a = p.row(a);
+                        for (b, &forward) in row_a.iter().enumerate() {
+                            if b != a && forward > p.strength(b, a) {
+                                *score += 1;
                             }
                         }
-                        scores
-                    }
-                })
-                .collect();
-            record_pair_shard_tasks(parts.len() as u64);
-            let mut scores = Vec::with_capacity(n);
-            for part in run_parts(threads, parts) {
-                scores.extend_from_slice(&part);
-            }
-            scores
-        } else {
-            let mut scores = vec![0u64; n];
-            for (a, score) in scores.iter_mut().enumerate() {
-                let row_a = p.row(a);
-                for (b, &forward) in row_a.iter().enumerate() {
-                    if b != a && forward > p.strength(b, a) {
-                        *score += 1;
                     }
                 }
-            }
-            scores
-        };
+            })
+            .collect();
+        if threads > 1 {
+            record_pair_shard_tasks(parts.len() as u64);
+        }
+        run_parts(threads, parts);
         ranking_from_points(&scores)
     }
 
@@ -291,99 +192,21 @@ fn zero_diagonal(p: &mut [u32], n: usize) {
     }
 }
 
-/// One branchless widest-path relaxation of a full row: for every column `b`,
-/// `row_a[b] = max(row_a[b], min(pak, row_k[b]))`. Equal-length zipped slices
-/// with no bounds checks, so the loop autovectorizes (8 `u32` lanes per AVX2
-/// op).
+/// One branchless widest-path relaxation of a row (or a row segment) through
+/// one pivot: for every column `b`, `row_a[b] = max(row_a[b], min(pak,
+/// row_k[b]))`. Equal-length zipped slices with no bounds checks, so the loop
+/// autovectorizes (8 `u32` lanes per AVX2 op).
 fn relax_full_row(row_a: &mut [u32], row_k: &[u32], pak: u32) {
     for (slot, &pkb) in row_a.iter_mut().zip(row_k) {
         *slot = (*slot).max(pak.min(pkb));
     }
 }
 
-/// Serial untiled Floyd–Warshall over the flat strength buffer.
-fn floyd_warshall_serial(p: &mut [u32], n: usize) {
-    let mut row_k = vec![0u32; n];
-    for k in 0..n {
-        // Row k is stable during step k (relaxing it through itself is a
-        // no-op), so one snapshot lets every other row read it without
-        // aliasing `p`.
-        row_k.copy_from_slice(&p[k * n..][..n]);
-        for a in 0..n {
-            if a == k {
-                continue;
-            }
-            let pak = p[a * n + k];
-            if pak == 0 {
-                // min(0, ·) can never improve a non-negative strength: the
-                // whole relaxation row is a no-op. On realistic profiles this
-                // skips roughly half of all (a, k) pairs.
-                continue;
-            }
-            relax_full_row(&mut p[a * n..][..n], &row_k, pak);
-        }
-    }
-}
-
-/// Row-block-parallel untiled Floyd–Warshall: for a fixed `k` every row is
-/// updated independently, so `threads` workers each own a contiguous block of
-/// rows and synchronise twice per `k`-step on a barrier (once after the pivot
-/// row is published, once before the next pivot is written).
-fn floyd_warshall_parallel(p: &mut [u32], n: usize, threads: usize) {
-    let ranges = shard_ranges(n, threads);
-    if ranges.len() <= 1 {
-        floyd_warshall_serial(p, n);
-        return;
-    }
-    let barrier = Barrier::new(ranges.len());
-    let pivot_row = Mutex::new(vec![0u32; n]);
-    // Split the flat buffer into per-worker row blocks.
-    let mut blocks: Vec<(usize, &mut [u32])> = Vec::with_capacity(ranges.len());
-    let mut rest = p;
-    for range in &ranges {
-        let (block, tail) = rest.split_at_mut(range.len() * n);
-        blocks.push((range.start, block));
-        rest = tail;
-    }
-    std::thread::scope(|scope| {
-        for (start, block) in blocks {
-            let barrier = &barrier;
-            let pivot_row = &pivot_row;
-            scope.spawn(move || {
-                let rows = block.len() / n;
-                let mut row_k = vec![0u32; n];
-                for k in 0..n {
-                    if (start..start + rows).contains(&k) {
-                        let mut shared = pivot_row.lock().expect("pivot row lock poisoned");
-                        shared.copy_from_slice(&block[(k - start) * n..][..n]);
-                    }
-                    // All workers see the published pivot row before relaxing.
-                    barrier.wait();
-                    row_k.copy_from_slice(&pivot_row.lock().expect("pivot row lock poisoned"));
-                    for (local, row_a) in block.chunks_exact_mut(n).enumerate() {
-                        let a = start + local;
-                        if a == k {
-                            continue;
-                        }
-                        let pak = row_a[k];
-                        if pak == 0 {
-                            continue;
-                        }
-                        relax_full_row(row_a, &row_k, pak);
-                    }
-                    // Nobody may publish pivot k+1 while a worker still reads
-                    // the shared buffer for pivot k.
-                    barrier.wait();
-                }
-            });
-        }
-    });
-}
-
 /// Phase 1 + 2 (row panel) of a `k`-block: closes the pivot rows `k0..k1` —
 /// full width, which covers the diagonal tile and the row panel together —
 /// against their own pivots with a mini Floyd–Warshall (`k` ascending,
-/// snapshot of the self-dependent pivot row per step).
+/// snapshot of the self-dependent pivot row per step). With a single
+/// `k`-block (`k0..k1 == 0..n`) this is the whole untiled Floyd–Warshall.
 ///
 /// `block` is a contiguous row block starting at matrix row `row_start` that
 /// contains rows `k0..k1`; `row_k` is an `n`-cell scratch buffer.
@@ -396,6 +219,9 @@ fn close_pivot_rows(
     row_k: &mut [u32],
 ) {
     for k in k0..k1 {
+        // Row k is stable during step k (relaxing it through itself is a
+        // no-op), so one snapshot lets every other row read it without
+        // aliasing `block`.
         row_k.copy_from_slice(&block[(k - row_start) * n..][..n]);
         for a in k0..k1 {
             if a == k {
@@ -404,6 +230,9 @@ fn close_pivot_rows(
             let row_a = &mut block[(a - row_start) * n..][..n];
             let pak = row_a[k];
             if pak == 0 {
+                // min(0, ·) can never improve a non-negative strength: the
+                // whole relaxation row is a no-op. On realistic profiles this
+                // skips roughly half of all (a, k) pairs.
                 continue;
             }
             relax_full_row(row_a, row_k, pak);
@@ -421,10 +250,7 @@ fn relax_pivot_segment(seg: &mut [u32], panel: &[u32], n: usize, k0: usize) {
         if pak == 0 {
             continue;
         }
-        let brow = &panel[t * n + k0..][..seg.len()];
-        for (slot, &pkb) in seg.iter_mut().zip(brow) {
-            *slot = (*slot).max(pak.min(pkb));
-        }
+        relax_full_row(seg, &panel[t * n + k0..][..seg.len()], pak);
     }
 }
 
@@ -442,8 +268,8 @@ const PHASE3_LANES: usize = 32;
 /// kernel exploits that by running `j`-outer / `t`-inner with a fixed-width
 /// accumulator that the compiler keeps in vector registers: each relaxation
 /// costs one panel load instead of the load + load + store of a `t`-outer
-/// sweep. This register blocking is what the cache blocking buys — the flat
-/// kernel's global `k` steps are sequentially dependent, so it cannot batch
+/// sweep. This register blocking is what the cache blocking buys — an untiled
+/// schedule's global `k` steps are sequentially dependent, so it cannot batch
 /// pivots this way.
 fn relax_segment(seg: &mut [u32], pa: &[u32], panel: &[u32], n: usize, j0: usize) {
     let mut chunks = seg.chunks_exact_mut(PHASE3_LANES);
@@ -465,16 +291,7 @@ fn relax_segment(seg: &mut [u32], pa: &[u32], panel: &[u32], n: usize, j0: usize
         chunk.copy_from_slice(&acc);
         j += PHASE3_LANES;
     }
-    let tail = chunks.into_remainder();
-    for (t, &pak) in pa.iter().enumerate() {
-        if pak == 0 {
-            continue;
-        }
-        let brow = &panel[t * n + j..][..tail.len()];
-        for (slot, &pkb) in tail.iter_mut().zip(brow) {
-            *slot = (*slot).max(pak.min(pkb));
-        }
-    }
+    relax_segment_tail(chunks.into_remainder(), pa, panel, n, j);
 }
 
 /// Rows relaxed together in phase 3: one panel load is shared by this many
@@ -534,10 +351,7 @@ fn relax_segment_tail(seg: &mut [u32], pa: &[u32], panel: &[u32], n: usize, j0: 
         if pak == 0 {
             continue;
         }
-        let brow = &panel[t * n + j0..][..seg.len()];
-        for (slot, &pkb) in seg.iter_mut().zip(brow) {
-            *slot = (*slot).max(pak.min(pkb));
-        }
+        relax_full_row(seg, &panel[t * n + j0..][..seg.len()], pak);
     }
 }
 
@@ -626,7 +440,14 @@ fn relax_row_blocked(
 /// column tiles (phase 3). Working-set per phase-3 step: one `tile`-cell row
 /// segment, a `tile`-cell pivot-strength cache, and one `tile × tile` panel
 /// tile — sized for L1 at the default tile of 64 (16 KiB per tile).
+///
+/// With one tile (`tile >= n`) there are no other rows: closing the diagonal
+/// tile is the whole solve, and no panel is allocated or copied.
 fn floyd_warshall_tiled_serial(p: &mut [u32], n: usize, tile: usize) {
+    if tile >= n {
+        close_pivot_rows(p, n, 0, 0, n, &mut vec![0u32; n]);
+        return;
+    }
     let nb = n.div_ceil(tile);
     let mut panel = vec![0u32; tile * n];
     let mut row_k = vec![0u32; n];
@@ -651,16 +472,15 @@ fn floyd_warshall_tiled_serial(p: &mut [u32], n: usize, tile: usize) {
 /// pivot rows (phases 1 + 2-row) and publishes them into a shared panel
 /// buffer; after a barrier every worker copies the panel locally and runs the
 /// column-panel and remainder phases on its own rows. A second barrier keeps
-/// block `kb + 1`'s publish from racing block `kb`'s readers — the same
-/// two-barrier schedule as the untiled parallel kernel, at tile-row
-/// granularity.
+/// block `kb + 1`'s publish from racing block `kb`'s readers. With one
+/// worker or one tile row it runs [`floyd_warshall_tiled_serial`] inline.
 fn floyd_warshall_tiled_parallel(p: &mut [u32], n: usize, tile: usize, threads: usize) {
     let nb = n.div_ceil(tile);
-    let tile_ranges = shard_ranges(nb, threads);
-    if tile_ranges.len() <= 1 {
+    if threads <= 1 || nb <= 1 {
         floyd_warshall_tiled_serial(p, n, tile);
         return;
     }
+    let tile_ranges = shard_ranges(nb, threads);
     let barrier = Barrier::new(tile_ranges.len());
     let shared_panel = Mutex::new(vec![0u32; tile * n]);
     // Split the flat buffer into per-worker blocks of whole tile rows.
@@ -726,11 +546,22 @@ impl ConsensusMethod for SchulzeAggregator {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{strongest_paths, to_nested};
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The one-tile schedule: the blocked kernel with a single tile, serial.
+    fn one_tile(matrix: &PrecedenceMatrix) -> PathMatrix {
+        let n = matrix.num_candidates();
+        SchulzeAggregator::new()
+            .strongest_paths_matrix(matrix, &Parallelism::serial().with_tile_size(n.max(1)))
+    }
 
     #[test]
     fn unanimous_profile_returns_the_common_ranking() {
@@ -752,7 +583,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn strongest_paths_classic_example() {
         // Wikipedia-style 3-candidate cycle check: A > B (2 of 3), B > C (2 of 3), C > A (2 of 3)
         // forms a majority cycle; strongest paths must still be computed consistently.
@@ -763,13 +593,14 @@ mod tests {
         ])
         .unwrap();
         let matrix = profile.precedence_matrix();
-        let p = SchulzeAggregator::new().strongest_paths(&matrix);
+        let p = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &Parallelism::serial());
+        assert_eq!(to_nested(&p), strongest_paths(&matrix));
         // Every direct majority edge has weight 2, and the cycle gives every pair a path of
         // strength 2 in both directions -> complete tie.
         for a in 0..3 {
             for b in 0..3 {
                 if a != b {
-                    assert_eq!(p[a][b], 2, "p[{a}][{b}]");
+                    assert_eq!(p.strength(a, b), 2, "p[{a}][{b}]");
                 }
             }
         }
@@ -779,23 +610,23 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn strongest_path_at_least_direct_support() {
         let mut rng = StdRng::seed_from_u64(23);
         let rankings: Vec<Ranking> = (0..7).map(|_| Ranking::random(6, &mut rng)).collect();
         let profile = RankingProfile::new(rankings).unwrap();
         let matrix = profile.precedence_matrix();
-        let p = SchulzeAggregator::new().strongest_paths(&matrix);
+        let p = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &Parallelism::serial());
+        assert_eq!(to_nested(&p), strongest_paths(&matrix));
         for a in 0..6 {
             for b in 0..6 {
                 if a == b {
                     continue;
                 }
                 let (ca, cb) = (CandidateId(a as u32), CandidateId(b as u32));
-                let support = matrix.support_for(ca, cb) as u64;
-                let against = matrix.support_for(cb, ca) as u64;
+                let support = matrix.support_for(ca, cb);
+                let against = matrix.support_for(cb, ca);
                 if support > against {
-                    assert!(p[a][b] >= support);
+                    assert!(p.strength(a, b) >= support);
                 }
             }
         }
@@ -807,19 +638,17 @@ mod tests {
         for n in [1usize, 2, 3, 7, 12, 25] {
             let rankings: Vec<Ranking> = (0..9).map(|_| Ranking::random(n, &mut rng)).collect();
             let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
-            let reference = SchulzeAggregator::new().strongest_paths(&matrix);
+            let reference = strongest_paths(&matrix);
             assert_eq!(
-                SchulzeAggregator::new()
-                    .strongest_paths_flat(&matrix)
-                    .to_nested(),
+                to_nested(&one_tile(&matrix)),
                 reference,
-                "flat kernel, n = {n}"
+                "one-tile schedule, n = {n}"
             );
             for threads in [1usize, 2, 3, 8] {
                 let par = Parallelism::new(threads).with_min_candidates(0);
-                let flat = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
-                assert_eq!(flat.num_candidates(), n);
-                assert_eq!(flat.to_nested(), reference, "n = {n}, threads = {threads}");
+                let paths = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
+                assert_eq!(paths.num_candidates(), n);
+                assert_eq!(to_nested(&paths), reference, "n = {n}, threads = {threads}");
                 assert_eq!(
                     SchulzeAggregator::new().consensus_from_matrix_with(&matrix, &par),
                     SchulzeAggregator::new().consensus_from_matrix(&matrix),
@@ -828,13 +657,24 @@ mod tests {
         }
     }
 
+    /// Oracle sweep over the tile boundaries: sizes on both sides of one and
+    /// two default tiles, tiles from 1 (every pivot its own block) to `n`
+    /// (the one-tile schedule), and thread counts that exercise both the
+    /// parallel schedule and its serial fallback (one tile row, or fewer tile
+    /// rows than workers). Every other size runs a weighted profile.
     #[test]
     fn tiled_kernel_matches_reference_across_tile_sizes_and_threads() {
         let mut rng = StdRng::seed_from_u64(4242);
-        for n in [2usize, 5, 13, 31, 64, 70] {
-            let rankings: Vec<Ranking> = (0..7).map(|_| Ranking::random(n, &mut rng)).collect();
-            let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
-            let reference = SchulzeAggregator::new().strongest_paths_flat(&matrix);
+        let sizes = [1usize, 2, 5, 13, 31, 63, 64, 65, 70, 127, 128, 129, 200];
+        for (index, n) in sizes.into_iter().enumerate() {
+            let rankings: Vec<Ranking> = (0..9).map(|_| Ranking::random(n, &mut rng)).collect();
+            let matrix = if index % 2 == 1 {
+                let weights: Vec<u32> = (0..9u32).map(|w| (w % 5) + 1).collect();
+                PrecedenceMatrix::from_weighted_rankings(&rankings, &weights).unwrap()
+            } else {
+                PrecedenceMatrix::from_rankings(&rankings).unwrap()
+            };
+            let reference = strongest_paths(&matrix);
             for tile in [1usize, 3, 8, 32, 64, n] {
                 for threads in [1usize, 2, 8] {
                     let par = Parallelism::new(threads)
@@ -842,7 +682,8 @@ mod tests {
                         .with_tile_size(tile);
                     let tiled = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
                     assert_eq!(
-                        tiled, reference,
+                        to_nested(&tiled),
+                        reference,
                         "n = {n}, tile = {tile}, threads = {threads}"
                     );
                 }
@@ -876,8 +717,8 @@ mod tests {
             let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
             let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
             let par = Parallelism::new(threads).with_min_candidates(0);
-            let flat = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
-            prop_assert_eq!(flat.to_nested(), SchulzeAggregator::new().strongest_paths(&matrix));
+            let paths = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
+            prop_assert_eq!(to_nested(&paths), strongest_paths(&matrix));
         }
 
         #[test]
@@ -893,7 +734,9 @@ mod tests {
             let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
             let par = Parallelism::new(threads).with_min_candidates(0).with_tile_size(tile);
             let tiled = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
-            prop_assert_eq!(tiled, SchulzeAggregator::new().strongest_paths_flat(&matrix));
+            let flat = one_tile(&matrix);
+            prop_assert_eq!(&tiled, &flat);
+            prop_assert_eq!(to_nested(&flat), strongest_paths(&matrix));
         }
 
         #[test]

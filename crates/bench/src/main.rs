@@ -7,7 +7,7 @@
 //!
 //! With `--compare`, the fresh run is diffed against a previously committed
 //! baseline (same JSON format — any earlier `--out` file works): the gated
-//! metrics are the `schulze_strongest_paths` **flat kernel**,
+//! metrics are the `schulze_strongest_paths` **flat (one-tile) schedule**,
 //! **`matrix_build` throughput** and the **`make_mr_fair` correction**, and
 //! any slowdown beyond `--max-slowdown` (default 25%) exits non-zero. CI runs
 //! the smoke grid against `BENCH_baseline_smoke.json`; to re-baseline after
@@ -17,10 +17,10 @@
 //! Measures the intra-request kernels the engine's hot path is made of —
 //! precedence-matrix construction, Schulze strongest paths, the Make-MR-Fair
 //! correction, and the Fair-Kemeny branch and bound — at a grid of
-//! `(n, |R|)` points, serial versus parallel, and (for Schulze) against the
-//! legacy nested-`Vec` kernel kept as the in-tree baseline; plus the wire
-//! codecs and the `delta_update` row comparing an append-1 precedence delta
-//! against a full rebuild. Results are written as JSON so successive
+//! `(n, |R|)` points, serial versus parallel, and (for Schulze) the one-tile
+//! schedule versus the cache-tiled one; plus the wire codecs and the
+//! `delta_update` row comparing an append-1 precedence delta against a full
+//! rebuild. Results are written as JSON so successive
 //! PRs have a trajectory to compare against; CI smoke-runs the tiny grid
 //! (`--smoke`) to keep this harness compiling and running.
 //!
@@ -130,9 +130,10 @@ fn main() {
     // (n, |R|) grid points per kernel; the smoke grid keeps CI runs in
     // seconds while staying large enough (tens of microseconds per gated
     // kernel) that best-of-N timings are stable for the --compare gate. The
-    // smoke grid carries one large-n Schulze point (n = 1000, iters capped by
-    // `capped_iters`) so the regression gate exercises the tiled-kernel
-    // regime, and the full grid extends to the CSRankings-scale points
+    // smoke grid carries a mid-size Schulze point (n = 256) and one large-n
+    // point (n = 1000, iters capped by `capped_iters`) so the regression gate
+    // exercises both the L2-resident and the tiled-kernel regimes, and the
+    // full grid extends to the CSRankings-scale points
     // n ∈ {1000, 2000, 5000}. The wire-codec grid sweeps ranking count (the
     // axis the two encodings diverge on) at a fixed candidate pool. The
     // Make-MR-Fair grid includes the n = 768 threshold-sweep scale.
@@ -140,7 +141,7 @@ fn main() {
         if smoke {
             (
                 vec![(48, 64)],
-                vec![(48, 24), (1000, 16)],
+                vec![(48, 24), (256, 40), (1000, 16)],
                 vec![(10, 8)],
                 vec![(200, 40)],
                 vec![(32, 200)],
@@ -406,12 +407,6 @@ fn capped_iters(n: usize, iters: usize) -> usize {
     }
 }
 
-/// Largest `n` at which the legacy nested-`Vec` Schulze kernel is still timed
-/// (and its bit-identity checked). Beyond this the O(n³) legacy kernel alone
-/// would dominate the run's wall clock, so large-n entries compare the flat,
-/// tiled and parallel kernels against each other only.
-const LEGACY_SCHULZE_MAX_N: usize = 512;
-
 fn bench_matrix_build(n: usize, r: usize, parallel: &Parallelism, iters: usize) -> Entry {
     let fixture = BenchFixture::low_fair(n, r, 0.6, 0xA11CE);
     let (serial_ns, serial) = time_best(iters, || fixture.profile.precedence_matrix());
@@ -439,11 +434,14 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, iters: usize) -> En
     let matrix = fixture.profile.precedence_matrix();
     let aggregator = SchulzeAggregator::new();
     let serial = Parallelism::serial();
-    // Un-tiled flat serial kernel: the gated `flat_serial_ns` metric and the
-    // denominator for the tiled/parallel speedup figures.
-    let (flat_ns, flat) = time_best(iters, || aggregator.strongest_paths_flat(&matrix));
-    // Tiled serial kernel under the auto tile policy (untiled below the
-    // FW_TILE_MIN_N threshold, in which case this times the same flat path).
+    // One-tile serial schedule (the untiled Floyd–Warshall loop): the gated
+    // `flat_serial_ns` metric and the denominator for the tiled/parallel
+    // speedup figures.
+    let one_tile = serial.with_tile_size(n);
+    let (flat_ns, flat) = time_best(iters, || {
+        aggregator.strongest_paths_matrix(&matrix, &one_tile)
+    });
+    // Serial under the auto tile policy (`tile_size` below).
     let (tiled_ns, tiled) = time_best(iters, || {
         aggregator.strongest_paths_matrix(&matrix, &serial)
     });
@@ -452,46 +450,28 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, iters: usize) -> En
     });
     assert_eq!(tiled, flat, "tiled kernel must be bit-identical");
     assert_eq!(tiled_par, flat, "parallel kernel must be bit-identical");
-    let mut fields = vec![
-        ("flat_serial_ns".into(), flat_ns.to_string()),
-        ("tiled_serial_ns".into(), tiled_ns.to_string()),
-        ("parallel_ns".into(), parallel_ns.to_string()),
-        (
-            "tile_size".into(),
-            serial.fw_tile_size(n.max(1)).to_string(),
-        ),
-        ("threads".into(), parallel.max_threads().to_string()),
-        (
-            "speedup_tiled_vs_flat".into(),
-            format!("{:.3}", ratio(flat_ns, tiled_ns)),
-        ),
-        (
-            "speedup_parallel_vs_flat".into(),
-            format!("{:.3}", ratio(flat_ns, parallel_ns)),
-        ),
-    ];
-    if n <= LEGACY_SCHULZE_MAX_N {
-        let (legacy_ns, reference) = time_best(iters, || aggregator.strongest_paths(&matrix));
-        assert_eq!(
-            flat.to_nested(),
-            reference,
-            "flat kernel must be bit-identical"
-        );
-        fields.push(("legacy_serial_ns".into(), legacy_ns.to_string()));
-        fields.push((
-            "speedup_flat_vs_legacy".into(),
-            format!("{:.3}", ratio(legacy_ns, flat_ns)),
-        ));
-        fields.push((
-            "speedup_parallel_vs_legacy".into(),
-            format!("{:.3}", ratio(legacy_ns, parallel_ns)),
-        ));
-    }
     Entry {
         kernel: "schulze_strongest_paths",
         n,
         rankings: r,
-        fields,
+        fields: vec![
+            ("flat_serial_ns".into(), flat_ns.to_string()),
+            ("tiled_serial_ns".into(), tiled_ns.to_string()),
+            ("parallel_ns".into(), parallel_ns.to_string()),
+            (
+                "tile_size".into(),
+                serial.fw_tile_size(n.max(1)).to_string(),
+            ),
+            ("threads".into(), parallel.max_threads().to_string()),
+            (
+                "speedup_tiled_vs_flat".into(),
+                format!("{:.3}", ratio(flat_ns, tiled_ns)),
+            ),
+            (
+                "speedup_parallel_vs_flat".into(),
+                format!("{:.3}", ratio(flat_ns, parallel_ns)),
+            ),
+        ],
     }
 }
 

@@ -16,8 +16,8 @@
 //! Every kernel built on these primitives is **bit-identical** to its serial
 //! counterpart: work is split so that either the per-shard results are summed
 //! with integer arithmetic (order-insensitive) or the partition itself does not
-//! change the arithmetic (row-block Floyd–Warshall, index-ordered subtree
-//! merges).
+//! change the arithmetic (tile-row-block Floyd–Warshall, index-ordered
+//! subtree merges).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,11 +38,12 @@ pub const DEFAULT_MIN_CANDIDATES: usize = 48;
 /// at CSRankings scale (64 × 5000 × 4 B ≈ 1.2 MiB) still fits mid-size L2.
 pub const DEFAULT_FW_TILE: usize = 64;
 
-/// Candidate count below which the auto tile policy keeps Floyd–Warshall
-/// untiled: under this size the whole strength matrix (≤ 512² × 4 B = 1 MiB)
-/// sits in L2 anyway and the blocked schedule's phase overhead is pure loss —
-/// measured on the dev host the tiled kernel only pulls ahead of the flat one
-/// between n = 384 (0.9×) and n = 1000 (1.5×).
+/// Candidate count below which the auto tile policy runs Floyd–Warshall as a
+/// single tile (the untiled loop): under this size the whole strength matrix
+/// (≤ 512² × 4 B = 1 MiB) sits in L2 anyway and the multi-tile schedule's
+/// phase overhead is pure loss — on the benchmark fixture 64-wide tiles run
+/// at 0.73–1.0× the one-tile speed for n = 160–511 and pull ahead by
+/// n = 1000 (~1.5×).
 pub const FW_TILE_MIN_N: usize = 512;
 
 /// Kernel parallelism budget: how many threads one solve may use, the
@@ -151,7 +152,7 @@ impl Parallelism {
     /// Resolves the Floyd–Warshall tile edge for a problem of `n` candidates:
     /// the explicit [`Parallelism::with_tile_size`] override when set, else
     /// [`DEFAULT_FW_TILE`] once `n` reaches [`FW_TILE_MIN_N`]. A result `>= n`
-    /// means "run untiled". Never returns zero for `n > 0`.
+    /// means "one tile" (the untiled loop). Never returns zero for `n > 0`.
     pub fn fw_tile_size(&self, n: usize) -> usize {
         let tile = match self.tile_size {
             0 if n < FW_TILE_MIN_N => n,
